@@ -32,7 +32,6 @@ from .enveloping import (
     commutator,
     embed,
     filtration_degree,
-    multiply,
     pbw_algebra,
     tilde,
     verify_central,
@@ -42,7 +41,6 @@ from .freealg import (
     TSymbol,
     binomial_z_expansion,
     expansion_identity,
-    free_cdet,
     loop_weight,
     t_symbol,
     verify_graded_image,
@@ -59,6 +57,7 @@ from .invariants import (
     top_symbol,
     verify_invariant,
 )
+from .linalg import column_determinant
 from .slice import (
     JacobianCertificate,
     PVar,

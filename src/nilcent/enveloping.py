@@ -12,7 +12,6 @@ public interfaces speak BasisIndex.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .centralizer import BasisIndex, basis_list, structure_constants
@@ -23,8 +22,9 @@ from .composition import (
     enumerate_mu,
     invariant_degrees,
 )
-from .linalg import Scalar, format_scalar, format_terms, parse_scalar, perm_sign
+from .linalg import column_determinant, format_scalar, parse_scalar
 from .reports import Check, Report
+from .sparse import SparseElement, accumulate
 
 
 class PbwAlgebra:
@@ -77,14 +77,13 @@ class PbwAlgebra:
 
         Words need not be sorted; unsorted ones are straightened.
         """
-        out = self.zero()
+        out: dict = {}
         for word, c in terms.items():
             if not c:
                 continue
             ids = tuple(self.index_of[BasisIndex(*b)] for b in word)
-            nf = self._normal_form(ids)
-            out = out + PbwElement(self, {m: c * cm for m, cm in nf.items()})
-        return out
+            accumulate(out, self._normal_form(ids).items(), c)
+        return PbwElement(self, out)
 
     def _normal_form(self, word: tuple) -> dict:
         """Memoised normal form of an arbitrary word of interned labels.
@@ -107,12 +106,8 @@ class PbwAlgebra:
             head, tail = word[:pos], word[pos + 2:]
             result = dict(self._normal_form(head + (y, x) + tail))
             for z, c in self._bracket.get((x, y), ()):
-                for m, cm in self._normal_form(head + (z,) + tail).items():
-                    v = result.get(m, 0) + c * cm
-                    if v:
-                        result[m] = v
-                    elif m in result:
-                        del result[m]
+                accumulate(result,
+                           self._normal_form(head + (z,) + tail).items(), c)
         memo[word] = result
         return result
 
@@ -122,107 +117,38 @@ def pbw_algebra(lam: Composition) -> PbwAlgebra:
     return PbwAlgebra(lam)
 
 
-class PbwElement:
+class PbwElement(SparseElement):
     """An element of the enveloping algebra, stored in normal form."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: PbwAlgebra, terms: dict):
         self.algebra = algebra
         self.terms = terms
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return self.algebra.scalar(other)
-        if isinstance(other, PbwElement):
-            if other.algebra.lam != self.algebra.lam:
-                raise ValueError("elements from different compositions")
-            return other
-        return None
+    def _new(self, terms: dict) -> "PbwElement":
+        return PbwElement(self.algebra, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _coerce(self, other):
+        other = super()._coerce(other)
+        if other is not None and other.algebra.lam != self.algebra.lam:
+            raise ValueError("elements from different compositions")
+        return other
+
+    def _times(self, m1, m2):
+        return self.algebra._normal_form(m1 + m2).items()
+
+    def _format_monomial(self, word) -> str:
+        basis = self.algebra.basis
+        return "*".join(
+            f"e[{basis[t].i},{basis[t].j};{basis[t].r}]" for t in word
+        ) or "1"
 
     def index_terms(self):
         """Yield (tuple of BasisIndex, coefficient) pairs, canonically ordered."""
         basis = self.algebra.basis
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             yield tuple(basis[t] for t in word), self.terms[word]
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for m, c in small.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return PbwElement(self.algebra, out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return PbwElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if not other:
-                return self.algebra.zero()
-            return PbwElement(
-                self.algebra, {m: c * other for m, c in self.terms.items()}
-            )
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        nf = self.algebra._normal_form
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for m, cm in nf(m1 + m2).items():
-                    v = out.get(m, 0) + c * cm
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-        return PbwElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __repr__(self):
-        basis = self.algebra.basis
-        pairs = []
-        for word in sorted(self.terms, key=lambda w: (-len(w), w)):
-            mono = "*".join(
-                f"e[{basis[t].i},{basis[t].j};{basis[t].r}]" for t in word
-            ) or "1"
-            pairs.append((self.terms[word], mono))
-        return format_terms(pairs)
 
 
 def embed(lam: Composition, idx) -> PbwElement:
@@ -231,10 +157,6 @@ def embed(lam: Composition, idx) -> PbwElement:
 
 def tilde(lam: Composition, idx) -> PbwElement:
     return pbw_algebra(lam).tilde(idx)
-
-
-def multiply(a: PbwElement, b: PbwElement) -> PbwElement:
-    return a * b
 
 
 def commutator(a: PbwElement, b: PbwElement) -> PbwElement:
@@ -269,13 +191,7 @@ def _commutator_linear(a: PbwElement, b: PbwElement) -> PbwElement:
                     continue
                 head, tail = m1[:t], m1[t + 1:]
                 for z, cz in terms:
-                    ccz = c * cz
-                    for m, cm in nf(head + (z,) + tail).items():
-                        v = out.get(m, 0) + ccz * cm
-                        if v:
-                            out[m] = v
-                        elif m in out:
-                            del out[m]
+                    accumulate(out, nf(head + (z,) + tail).items(), c * cz)
     return PbwElement(alg, out)
 
 
@@ -299,31 +215,21 @@ def cdet_mu(lam: Composition, mu) -> PbwElement:
         raise ValueError(
             f"subcomposition {mu} does not have minimal length for weight {mu.weight}"
         )
-    alg = pbw_algebra(lam)
     supp = mu.support()
     d = len(supp)
-    factors: dict[tuple[int, int], PbwElement] = {}
-
-    def factor(row: int, col: int) -> PbwElement:
-        f = factors.get((row, col))
-        if f is None:
-            f = alg.tilde(BasisIndex(row, col, mu.part(col) - 1))
-            factors[(row, col)] = f
-        return f
-
-    total = alg.zero()
-    for perm in itertools.permutations(range(d)):
-        w = tuple(p + 1 for p in perm)
+    # each (row, column) pair is a factor of exactly one of the d cyclic
+    # shifts, so checking them checks every factor of every permutation
+    for k in range(d):
+        w = tuple((j + k) % d + 1 for j in range(d))
         if not check_admissibility_inequality(lam, mu, w):
             raise RuntimeError(
                 f"inadmissible column-determinant factor for mu={mu}, w={w}"
             )
-        prod = None
-        for col_pos in range(d):
-            f = factor(supp[perm[col_pos]], supp[col_pos])
-            prod = f if prod is None else prod * f
-        total = total + perm_sign(perm) * prod
-    return total
+    alg = pbw_algebra(lam)
+    return column_determinant(
+        [[alg.tilde(BasisIndex(row, col, mu.part(col) - 1)) for col in supp]
+         for row in supp]
+    )
 
 
 def central_element(lam: Composition, r: int) -> PbwElement:

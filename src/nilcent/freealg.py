@@ -27,8 +27,9 @@ from .composition import (
     weight_subcompositions,
 )
 from .enveloping import PbwElement, central_element, pbw_algebra
-from .linalg import Scalar, format_scalar, format_terms, perm_sign
+from .linalg import column_determinant
 from .reports import Check, Report
+from .sparse import SparseElement, accumulate
 
 
 class TSymbol(NamedTuple):
@@ -39,13 +40,10 @@ class TSymbol(NamedTuple):
     s: int
 
 
-class FreeElement:
+class FreeElement(SparseElement):
     """Element of the free associative algebra: words mapped to scalars."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "FreeElement":
@@ -59,108 +57,17 @@ class FreeElement:
     def letter(cls, x) -> "FreeElement":
         return cls({(x,): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _times(self, w1, w2):
+        return ((w1 + w2, 1),)
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return FreeElement.scalar(other)
-        if isinstance(other, FreeElement):
-            return other
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        return FreeElement(out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return FreeElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if not other:
-                return FreeElement.zero()
-            return FreeElement({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                v = out.get(w, 0) + c1 * c2
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
-        return FreeElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __repr__(self):
-        pairs = []
-        for word in sorted(self.terms, key=lambda w: (-len(w), w)):
-            mono = "*".join(_format_letter(x) for x in word) or "1"
-            pairs.append((self.terms[word], mono))
-        return format_terms(pairs)
+    def _format_monomial(self, word) -> str:
+        return "*".join(_format_letter(x) for x in word) or "1"
 
 
 def _format_letter(x) -> str:
     if isinstance(x, TSymbol):
         return f"T[{x.i},{x.j};{x.s}]"
     return str(x)
-
-
-def column_determinant(matrix):
-    """Sum over permutations, factors multiplied down successive columns.
-
-    Works for any entries supporting +, * and integer scaling.
-    """
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("column determinant needs a nonempty square matrix")
-    total = None
-    for perm in itertools.permutations(range(n)):
-        prod = rows[perm[0]][0]
-        for t in range(1, n):
-            prod = prod * rows[perm[t]][t]
-        term = perm_sign(perm) * prod
-        total = term if total is None else total + term
-    return total
-
-
-def free_cdet(matrix) -> FreeElement:
-    return column_determinant(matrix)
 
 
 def t_symbol(lam: Composition, i: int, j: int, s: int) -> FreeElement:
@@ -176,50 +83,37 @@ def t_symbol(lam: Composition, i: int, j: int, s: int) -> FreeElement:
     return FreeElement.letter(TSymbol(i, j, s))
 
 
-class UPolynomial:
-    """Polynomial in one central variable with free-algebra coefficients."""
+class UPolynomial(SparseElement):
+    """Polynomial in one central variable with free-algebra coefficients.
 
-    __slots__ = ("coeffs",)
+    Terms map the exponent of u to a nonzero FreeElement.
+    """
 
-    def __init__(self, coeffs: dict):
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "UPolynomial":
         return cls({})
 
+    def _scalar(self, c):
+        return UPolynomial({0: FreeElement.scalar(c)} if c else {})
+
+    def _times(self, k1, k2):
+        return ((k1 + k2, 1),)
+
     def coefficient(self, k: int) -> FreeElement:
-        return self.coeffs.get(k, FreeElement.zero())
+        return self.terms.get(k, FreeElement.zero())
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("the zero polynomial has no degree")
-        return max(self.coeffs)
+        return max(self.terms)
 
-    def __eq__(self, other):
-        return isinstance(other, UPolynomial) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, FreeElement.zero()) + v
-        return UPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return UPolynomial({k: v * other for k, v in self.coeffs.items()})
-        out: dict = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                prod = v1 * v2
-                out[k] = out.get(k, FreeElement.zero()) + prod
-        return UPolynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.__mul__(other)
-        return NotImplemented
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({self.terms[k]!r})*u^{k}"
+                          for k in sorted(self.terms, reverse=True))
 
 
 def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
@@ -232,14 +126,9 @@ def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
     coeffs: dict[int, FreeElement] = {}
     for s in range(width + 1):
         sym = t_symbol(lam, i, j, s)
-        if sym.is_zero():
-            continue
         m = width - s
-        for k in range(m + 1):
-            c = comb(m, k) * shift ** (m - k)
-            if not c:
-                continue
-            coeffs[k] = coeffs.get(k, FreeElement.zero()) + sym * c
+        accumulate(coeffs, ((k, comb(m, k) * shift ** (m - k))
+                            for k in range(m + 1)), sym)
     return UPolynomial(coeffs)
 
 
@@ -297,20 +186,10 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
                     break
             if not weight:
                 continue
-            det = FreeElement.zero()
-            for perm in itertools.permutations(range(n)):
-                word = []
-                dead = False
-                for t in range(n):
-                    sym = t_symbol(lam, perm[t] + 1, t + 1, nu[t])
-                    if sym.is_zero():
-                        dead = True
-                        break
-                    if sym.terms != {(): 1}:
-                        word.extend(next(iter(sym.terms)))
-                if dead:
-                    continue
-                det = det + FreeElement({tuple(word): perm_sign(perm)})
+            det = column_determinant(
+                [[t_symbol(lam, i, j, nu[j - 1]) for j in range(1, n + 1)]
+                 for i in range(1, n + 1)]
+            )
             total = total + det * weight
     return total
 

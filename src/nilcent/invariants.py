@@ -10,27 +10,24 @@ that labels falling outside the admissible window are zero.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .centralizer import BasisIndex, basis_list, is_admissible, structure_constants
-from .composition import Composition, enumerate_mu, invariant_degrees
-from .linalg import Scalar, format_scalar, format_terms, parse_scalar, perm_sign
+from .composition import Composition, enumerate_mu
+from .linalg import column_determinant, format_scalar, parse_scalar
 from .reports import Check, Report
+from .sparse import SparseElement, accumulate
 
 
-class Polynomial:
+class Polynomial(SparseElement):
     """Sparse commutative polynomial.
 
     Monomials are sorted tuples of hashable, orderable variable labels;
     coefficients are exact scalars.  The zero polynomial has no terms.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -43,9 +40,6 @@ class Polynomial:
     @classmethod
     def variable(cls, v) -> "Polynomial":
         return cls({(v,): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         if not self.terms:
@@ -70,89 +64,26 @@ class Polynomial:
 
     def partial(self, var) -> "Polynomial":
         """Partial derivative with respect to one variable."""
-        out: dict = {}
+        pairs = []
         for mono, c in self.terms.items():
             k = mono.count(var)
-            if not k:
-                continue
-            pos = mono.index(var)
-            reduced = mono[:pos] + mono[pos + 1:]
-            v = out.get(reduced, 0) + k * c
-            if v:
-                out[reduced] = v
-            elif reduced in out:
-                del out[reduced]
-        return Polynomial(out)
+            if k:
+                pos = mono.index(var)
+                pairs.append((mono[:pos] + mono[pos + 1:], k * c))
+        return Polynomial(accumulate({}, pairs))
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return Polynomial.constant(other)
-        if isinstance(other, Polynomial):
-            return other
-        return None
+    def _times(self, m1, m2):
+        return ((tuple(sorted(m1 + m2)), 1),)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return Polynomial(out)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if not other:
-                return Polynomial.zero()
-            return Polynomial({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return Polynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __repr__(self):
-        pairs = []
-        for mono in sorted(self.terms, key=lambda m: (-len(m), m)):
-            pairs.append((self.terms[mono], _format_monomial(mono)))
-        return format_terms(pairs)
+    def _format_monomial(self, mono) -> str:
+        if not mono:
+            return "1"
+        bits = []
+        for v, group in itertools.groupby(mono):
+            k = len(list(group))
+            s = _format_variable(v)
+            bits.append(s if k == 1 else f"{s}^{k}")
+        return "*".join(bits)
 
 
 def _format_variable(v) -> str:
@@ -161,17 +92,6 @@ def _format_variable(v) -> str:
     if isinstance(v, tuple) and len(v) == 2:
         return f"p[{v[0]},{v[1]}]"
     return str(v)
-
-
-def _format_monomial(mono) -> str:
-    if not mono:
-        return "1"
-    bits = []
-    for v, group in itertools.groupby(mono):
-        k = len(list(group))
-        s = _format_variable(v)
-        bits.append(s if k == 1 else f"{s}^{k}")
-    return "*".join(bits)
 
 
 def top_symbol(a) -> Polynomial:
@@ -200,21 +120,15 @@ def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     """
     if not 1 <= r <= lam.N:
         raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
-    out: dict = {}
+    total = Polynomial.zero()
     for mu in enumerate_mu(lam, r):
         supp = mu.support()
-        d = len(supp)
-        for perm in itertools.permutations(range(d)):
-            mono = tuple(sorted(
-                BasisIndex(supp[perm[t]], supp[t], mu.part(supp[t]) - 1)
-                for t in range(d)
-            ))
-            v = out.get(mono, 0) + perm_sign(perm)
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
-    return Polynomial(out)
+        total = total + column_determinant(
+            [[Polynomial.variable(BasisIndex(row, col, mu.part(col) - 1))
+              for col in supp]
+             for row in supp]
+        )
+    return total
 
 
 def adjoint_action(lam: Composition, x, p: Polynomial) -> Polynomial:
@@ -223,21 +137,12 @@ def adjoint_action(lam: Composition, x, p: Polynomial) -> Polynomial:
     x = BasisIndex(*x)
     if not is_admissible(lam, x):
         raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
-    out: dict = {}
-    for mono, c in p.terms.items():
-        for t, v in enumerate(mono):
-            terms = sc.bracket(x, v)
-            if not terms:
-                continue
-            rest = mono[:t] + mono[t + 1:]
-            for z, cz in terms:
-                m = tuple(sorted(rest + (z,)))
-                val = out.get(m, 0) + c * cz
-                if val:
-                    out[m] = val
-                elif m in out:
-                    del out[m]
-    return Polynomial(out)
+    return Polynomial(accumulate({}, (
+        (tuple(sorted(mono[:t] + mono[t + 1:] + (z,))), c * cz)
+        for mono, c in p.terms.items()
+        for t, v in enumerate(mono)
+        for z, cz in sc.bracket(x, v)
+    )))
 
 
 def verify_invariant(lam: Composition, r: int) -> Report:
@@ -282,25 +187,14 @@ def coadjoint_action(lam: Composition, x, phi) -> dict:
         raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
     i, j, r = x
     k, l, s = phi
-    out: dict = {}
     if dual_index_or_none(lam, k, l, s) is None:
-        return out
-
-    def add(ii, jj, rr, c):
-        d = dual_index_or_none(lam, ii, jj, rr)
-        if d is None:
-            return
-        v = out.get(d, 0) + c
-        if v:
-            out[d] = v
-        elif d in out:
-            del out[d]
-
+        return {}
+    images = []
     if j == l:
-        add(k, i, s - r, 1)
+        images.append((dual_index_or_none(lam, k, i, s - r), 1))
     if i == k:
-        add(j, l, s - r, -1)
-    return out
+        images.append((dual_index_or_none(lam, j, l, s - r), -1))
+    return accumulate({}, ((d, c) for d, c in images if d is not None))
 
 
 def pairing_consistency(lam: Composition) -> Report:

@@ -51,7 +51,11 @@ def format_terms(pairs) -> str:
 
 
 def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of distinct comparable values."""
+    """Sign of a permutation given as a tuple of distinct comparable values.
+
+    Only the tests use it, as the Leibniz-formula reference for
+    column_determinant.
+    """
     inversions = sum(
         1
         for a in range(len(perm))
@@ -59,6 +63,39 @@ def perm_sign(perm) -> int:
         if perm[a] > perm[b]
     )
     return -1 if inversions % 2 else 1
+
+
+def column_determinant(matrix):
+    """Sum over permutations p of sign(p) * m[p0][0] * m[p1][1] * ... .
+
+    Factors multiply in column order, so entries may come from a
+    noncommutative ring; they need +, -, * and a truth value that is false
+    exactly at zero.  Rows are chosen column by column, depth first, with
+    the product of the columns so far shared by every completion; choosing
+    the k-th smallest remaining row adds k inversions, which gives the sign,
+    and a zero entry prunes every permutation through it.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("column determinant needs a nonempty square matrix")
+    total = rows[0][0] * 0
+
+    def expand(col, remaining, prod, negative):
+        nonlocal total
+        for k, row in enumerate(remaining):
+            entry = rows[row][col]
+            if not entry:
+                continue
+            term = entry if prod is None else prod * entry
+            sign = negative != (k % 2 == 1)
+            if col + 1 == n:
+                total = total - term if sign else total + term
+            else:
+                expand(col + 1, remaining[:k] + remaining[k + 1:], term, sign)
+
+    expand(0, tuple(range(n)), None, False)
+    return total
 
 
 def rational_rank(rows) -> int:

@@ -20,6 +20,7 @@ from .composition import Composition, invariant_degrees
 from .invariants import Polynomial, elementary_invariant
 from .linalg import rational_rank
 from .reports import Check, Report
+from .sparse import accumulate
 
 
 class PVar(NamedTuple):
@@ -83,12 +84,7 @@ def restrict(lam: Composition, p: Polynomial) -> Polynomial:
             pvars.extend(m)
         if dead:
             continue
-        key = tuple(sorted(pvars))
-        val = out.get(key, 0) + c
-        if val:
-            out[key] = val
-        elif key in out:
-            del out[key]
+        accumulate(out, ((tuple(sorted(pvars)), c),))
     return Polynomial(out)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from nilcent import cli
 from nilcent.composition import Composition
-from nilcent.enveloping import central_element, pbw_from_json_obj
+from nilcent.enveloping import central_element, pbw_algebra, pbw_from_json_obj
 from nilcent.reports import Check, Report
 
 
@@ -195,6 +195,12 @@ class TestSweep:
         assert cli.run_sweep(config, out=out, err=err) == 0
         assert "max N clamped to 2 by NILCENT_MAX_N" in err.getvalue()
         assert "3 compositions" in out.getvalue()
+
+    def test_serial_sweep_drops_each_pbw_algebra(self):
+        config = cli.RunConfig(command="sweep", max_n=3, jobs=1, seed=0)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run_sweep(config, out=out, err=err) == 0
+        assert pbw_algebra.cache_info().currsize == 0
 
 
 class TestUsageErrors:

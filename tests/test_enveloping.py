@@ -13,7 +13,6 @@ from nilcent.enveloping import (
     commutator,
     embed,
     filtration_degree,
-    multiply,
     pbw_algebra,
     pbw_from_json_obj,
     pbw_to_json_obj,
@@ -63,7 +62,7 @@ class TestBasicElements:
 
 class TestMultiplication:
     def test_gl2_rewrite_example(self):
-        prod = multiply(embed(LAM11, (2, 1, 0)), embed(LAM11, (1, 2, 0)))
+        prod = embed(LAM11, (2, 1, 0)) * embed(LAM11, (1, 2, 0))
         assert words(prod) == {
             (BasisIndex(1, 2, 0), BasisIndex(2, 1, 0)): 1,
             (BasisIndex(2, 2, 0),): 1,

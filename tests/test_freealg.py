@@ -14,7 +14,6 @@ from nilcent.freealg import (
     binomial_z_expansion,
     column_determinant,
     expansion_identity,
-    free_cdet,
     left_minor_cdets,
     loop_weight,
     substitute_word,
@@ -70,7 +69,7 @@ class TestColumnDeterminant:
 
     def test_two_by_two_column_order(self):
         a, b, c, d = (letter(x) for x in "abcd")
-        got = free_cdet([[a, b], [c, d]])
+        got = column_determinant([[a, b], [c, d]])
         assert got == a * d - c * b
 
     def test_non_square_raises(self):
@@ -90,6 +89,21 @@ class TestColumnDeterminant:
                     for p in itertools.permutations(range(n))
                 )
                 assert column_determinant(m) == leibniz
+        # free-algebra entries, some zero: the factors of each term must
+        # multiply in column order while zero entries prune permutations
+        for n in (3, 4):
+            for _ in range(5):
+                m = [[FreeElement.zero() if rng.random() < 0.3
+                      else letter(rng.choice("abc")) * rng.randint(1, 3)
+                      + rng.randint(-2, 2)
+                      for _ in range(n)] for _ in range(n)]
+                leibniz = FreeElement.zero()
+                for p in itertools.permutations(range(n)):
+                    prod = FreeElement.scalar(perm_sign(p))
+                    for col in range(n):
+                        prod = prod * m[p[col]][col]
+                    leibniz = leibniz + prod
+                assert column_determinant(m) == leibniz
 
     def test_equal_integer_columns_vanish(self):
         m = [[2, 2, 5], [3, 3, -1], [-4, -4, 7]]
@@ -100,7 +114,7 @@ class TestColumnDeterminant:
            x=free_elements())
     def test_column_linearity(self, u, v, w, x):
         def det(col2):
-            return free_cdet([[u, col2[0]], [v, col2[1]]])
+            return column_determinant([[u, col2[0]], [v, col2[1]]])
 
         combined = det((3 * w + x, 3 * FreeElement.zero() + FreeElement.zero()))
         assert combined == 3 * det((w, FreeElement.zero())) + det(
@@ -140,6 +154,14 @@ class TestUPolynomial:
         assert prod.coefficient(1) == letter("a") + letter("b")
         assert prod.coefficient(0) == letter("a") * letter("b")
         assert (p + q).coefficient(1) == FreeElement.scalar(2)
+
+    def test_subtraction_and_negation(self):
+        p = UPolynomial({1: FreeElement.scalar(1), 0: letter("a")})
+        assert p - p == UPolynomial.zero()
+        neg = -p
+        assert neg.coefficient(1) == FreeElement.scalar(-1)
+        assert neg.coefficient(0) == -letter("a")
+        assert neg + p == UPolynomial.zero()
 
     def test_entry_polynomial_frozen(self):
         e11 = t_entry_polynomial(LAM12, 1, 1)
