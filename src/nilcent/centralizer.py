@@ -1,4 +1,4 @@
-"""Matrix model of the nilpotent and its centralizer inside gl_N.
+"""Basis, closed-form brackets and matrix model of the centralizer in gl_N.
 
 Boxes of the diagram of lam are numbered 1..N along rows; the nilpotent e
 has one Jordan block per row.  The centralizer of e has the basis
@@ -7,8 +7,15 @@ has one Jordan block per row.  The centralizer of e has the basis
                k in row j with col(k) - col(h) = r,
 
 one for each admissible label, i.e. shift(i,j) <= r < lam_j.  Structure
-constants are extracted from honest matrix commutators, and the expansion
-into the basis is verified unit by unit rather than assumed.
+constants come from the shifted-Yangian bracket rule
+
+    [e[i,j;r], e[k,l;s]] = d_jk e[i,l;r+s] - d_il e[k,j;r+s],
+
+with labels outside the admissible window dropped.  The sparse matrix
+model (UnitMatrix, matrix_commutator, expand_in_basis) is the oracle:
+verify_centralizer checks the basis against e with it, and
+TestStructureConstants.test_matches_matrix_commutators checks the rule
+against honest matrix commutators, expanded unit by unit.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .composition import Composition, shift_matrix
-from .linalg import Scalar, rational_rank
+from .linalg import rational_rank
 from .reports import Check, Report
+from .sparse import SparseElement, accumulate
 
 
 class BasisIndex(NamedTuple):
@@ -60,95 +68,31 @@ def pyramid(lam: Composition) -> Pyramid:
     return Pyramid(lam, tuple(rows), tuple(cols))
 
 
-class GlMatrix:
-    """Dense square matrix over exact scalars."""
+class UnitMatrix(SparseElement):
+    """N x N matrix as a sparse sum of matrix units E(h,k), 1-based."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
-        rows = tuple(tuple(v for v in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        self.rows = rows
+    def _times(self, m1, m2):
+        return (((m1[0], m2[1]), 1),) if m1[1] == m2[0] else ()
 
-    @classmethod
-    def zero(cls, n: int) -> "GlMatrix":
-        return cls(((0,) * n,) * n)
-
-    @classmethod
-    def from_units(cls, n: int, units) -> "GlMatrix":
-        """Sum of matrix units E_{h,k} for (h, k) in units, 1-based."""
-        rows = [[0] * n for _ in range(n)]
-        for h, k in units:
-            rows[h - 1][k - 1] += 1
-        return cls(rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, h: int, k: int):
-        """1-based access."""
-        return self.rows[h - 1][k - 1]
-
-    def units(self):
-        """Yield (h, k, coefficient) for every nonzero entry, 1-based."""
-        for h, row in enumerate(self.rows, start=1):
-            for k, v in enumerate(row, start=1):
-                if v:
-                    yield h, k, v
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
-
-    def __eq__(self, other):
-        return isinstance(other, GlMatrix) and self.rows == other.rows
-
-    def __add__(self, other):
-        return GlMatrix(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        )
-
-    def __sub__(self, other):
-        return GlMatrix(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        )
-
-    def __neg__(self):
-        return GlMatrix(tuple(-a for a in row) for row in self.rows)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return GlMatrix(tuple(v * other for v in row) for row in self.rows)
-        cols = tuple(zip(*other.rows))
-        return GlMatrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
-
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
-
-    def __repr__(self):
-        return "GlMatrix(" + ", ".join(str(list(r)) for r in self.rows) + ")"
+    def _format_monomial(self, m) -> str:
+        return f"E({m[0]},{m[1]})"
 
 
-def matrix_commutator(a: GlMatrix, b: GlMatrix) -> GlMatrix:
+def matrix_commutator(a: UnitMatrix, b: UnitMatrix) -> UnitMatrix:
     return a * b - b * a
 
 
 @lru_cache(maxsize=None)
-def nilpotent_matrix(lam: Composition) -> GlMatrix:
+def nilpotent_matrix(lam: Composition) -> UnitMatrix:
     """The nilpotent with one Jordan block of size lam_i per row."""
     pyr = pyramid(lam)
-    units = []
+    units = {}
     for i, width in enumerate(lam.parts, start=1):
         start = pyr.row_start(i)
-        units.extend((start + c, start + c + 1) for c in range(width - 1))
-    return GlMatrix.from_units(lam.N, units)
+        units.update(((start + c, start + c + 1), 1) for c in range(width - 1))
+    return UnitMatrix(units)
 
 
 def is_admissible(lam: Composition, idx: BasisIndex) -> bool:
@@ -169,8 +113,8 @@ def unit_support(lam: Composition, idx: BasisIndex) -> tuple[tuple[int, int], ..
     return tuple((si + c, sj + c + r) for c in range(count))
 
 
-def basis_element(lam: Composition, idx: BasisIndex) -> GlMatrix:
-    return GlMatrix.from_units(lam.N, unit_support(lam, idx))
+def basis_element(lam: Composition, idx: BasisIndex) -> UnitMatrix:
+    return UnitMatrix(dict.fromkeys(unit_support(lam, idx), 1))
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +130,7 @@ def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
     return tuple(out)
 
 
-def expand_in_basis(lam: Composition, mat: GlMatrix) -> dict[BasisIndex, int]:
+def expand_in_basis(lam: Composition, mat: UnitMatrix) -> dict[BasisIndex, int]:
     """Write a matrix in the centralizer basis, verifying exactness.
 
     Distinct basis elements have disjoint unit supports, and (h, k)
@@ -195,7 +139,7 @@ def expand_in_basis(lam: Composition, mat: GlMatrix) -> dict[BasisIndex, int]:
     """
     pyr = pyramid(lam)
     groups: dict[BasisIndex, dict[tuple[int, int], object]] = {}
-    for h, k, c in mat.units():
+    for (h, k), c in mat.terms.items():
         idx = BasisIndex(pyr.row(h), pyr.row(k), pyr.col(k) - pyr.col(h))
         groups.setdefault(idx, {})[(h, k)] = c
     out = {}
@@ -223,12 +167,21 @@ class StructureConstants:
 
 @lru_cache(maxsize=None)
 def structure_constants(lam: Composition) -> StructureConstants:
+    """Every bracket of two basis elements, from the closed formula."""
     basis = basis_list(lam)
-    mats = {idx: basis_element(lam, idx) for idx in basis}
+    admissible = set(basis)
     table = {}
     for a, x in enumerate(basis):
+        i, j, r = x
         for y in basis[a + 1:]:
-            expansion = expand_in_basis(lam, matrix_commutator(mats[x], mats[y]))
+            k, l, s = y
+            pairs = []
+            if j == k:
+                pairs.append((BasisIndex(i, l, r + s), 1))
+            if i == l:
+                pairs.append((BasisIndex(k, j, r + s), -1))
+            expansion = accumulate(
+                {}, ((z, c) for z, c in pairs if z in admissible))
             if expansion:
                 terms = tuple(sorted(expansion.items()))
                 table[(x, y)] = terms
@@ -246,7 +199,8 @@ def verify_centralizer(lam: Composition) -> Report:
     expected_dim = sum(
         min(p, q) for p in lam.parts for q in lam.parts
     )
-    flat = [[m.entry(h, k) for h in range(1, lam.N + 1) for k in range(1, lam.N + 1)]
+    flat = [[m.terms.get((h, k), 0)
+             for h in range(1, lam.N + 1) for k in range(1, lam.N + 1)]
             for m in mats]
     rank = rational_rank(flat)
     dim_ok = len(basis) == expected_dim and rank == expected_dim

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 on usage errors, 3 when a verification fails.
+Exit codes: 0 on success, 2 on usage errors, 3 when a verification fails
+or an internal check raises, 4 when memory runs out.
 All verification output on stdout is deterministic for a fixed seed;
 timing goes to stderr.
 """
@@ -15,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .centralizer import basis_list, unit_support, verify_centralizer
+from .centralizer import basis_list, structure_constants, unit_support, verify_centralizer
 from .composition import Composition, invariant_degrees, min_length, monotone_compositions
 from .enveloping import (
     central_element,
@@ -37,6 +38,7 @@ from .slice import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+EXIT_RESOURCE = 4
 
 # The symbol-determinant checks join the sweep only for increasing
 # compositions up to this N.  Cost does not set the cap: all three checks
@@ -117,7 +119,13 @@ def sweep_composition(lam: Composition, seed: int = 0) -> list[dict]:
 
 def _sweep_worker(args: tuple) -> list[dict]:
     parts, seed = args
-    return sweep_composition(Composition(parts), seed)
+    try:
+        return sweep_composition(Composition(parts), seed)
+    finally:
+        # one composition's cached results are of no use to the next
+        for cache in (pbw_algebra, structure_constants,
+                      elementary_invariant, z_polynomial):
+            cache.cache_clear()
 
 
 def run_sweep(config: RunConfig, out=None, err=None) -> int:
@@ -143,8 +151,6 @@ def run_sweep(config: RunConfig, out=None, err=None) -> int:
         for task in tasks:
             t1 = time.time()
             per_lam.append(_sweep_worker(task))
-            # one composition's normal-form memo is of no use to the next
-            pbw_algebra.cache_clear()
             print(f"lambda={','.join(map(str, task[0]))}: "
                   f"{time.time() - t1:.2f}s", file=err)
     print(f"sweep total: {time.time() - t0:.2f}s", file=err)
@@ -371,3 +377,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE

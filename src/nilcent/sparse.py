@@ -1,7 +1,8 @@
 """Sparse elements: finite maps from monomials to nonzero coefficients.
 
-The enveloping algebra, the symmetric algebra, the free algebra and
-polynomials in u over the free algebra all store an element this way.
+The enveloping algebra, the symmetric algebra, the free algebra,
+polynomials in u over the free algebra and the matrix units of gl_N all
+store an element this way.
 They differ only in how two monomials multiply and how a monomial prints;
 coercion, comparison and the linear and ring operations live here.
 """

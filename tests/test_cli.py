@@ -4,8 +4,11 @@ import json
 import pytest
 
 from nilcent import cli
+from nilcent.centralizer import structure_constants
 from nilcent.composition import Composition
 from nilcent.enveloping import central_element, pbw_algebra, pbw_from_json_obj
+from nilcent.freealg import z_polynomial
+from nilcent.invariants import elementary_invariant
 from nilcent.reports import Check, Report
 
 
@@ -200,7 +203,9 @@ class TestSweep:
         config = cli.RunConfig(command="sweep", max_n=3, jobs=1, seed=0)
         out, err = io.StringIO(), io.StringIO()
         assert cli.run_sweep(config, out=out, err=err) == 0
-        assert pbw_algebra.cache_info().currsize == 0
+        for cache in (pbw_algebra, structure_constants,
+                      elementary_invariant, z_polynomial):
+            assert cache.cache_info().currsize == 0, cache
 
 
 class TestUsageErrors:
@@ -213,6 +218,20 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "central", "--lambda", "1,2", "--r", "9")
         assert rc == cli.EXIT_USAGE
         assert "--r must lie in 1..3" in err
+
+    @pytest.mark.parametrize("exc, code", [
+        (RuntimeError("symbol determinant is not monic of degree N"),
+         "EXIT_VERIFY"),
+        (MemoryError(), "EXIT_RESOURCE"),
+    ], ids=["runtime", "memory"])
+    def test_internal_failure_exit_code(self, capsys, monkeypatch, exc, code):
+        def fail(lam, r):
+            raise exc
+
+        monkeypatch.setattr(cli, "central_element", fail)
+        rc, _, err = run(capsys, "central", "--lambda", "1,2", "--r", "1")
+        assert rc == getattr(cli, code)
+        assert "error:" in err and "Traceback" not in err
 
     def test_missing_lambda(self):
         with pytest.raises(SystemExit) as exc:
