@@ -199,10 +199,7 @@ def verify_centralizer(lam: Composition) -> Report:
     expected_dim = sum(
         min(p, q) for p in lam.parts for q in lam.parts
     )
-    flat = [[m.terms.get((h, k), 0)
-             for h in range(1, lam.N + 1) for k in range(1, lam.N + 1)]
-            for m in mats]
-    rank = rational_rank(flat)
+    rank = rational_rank([m.terms for m in mats])
     dim_ok = len(basis) == expected_dim and rank == expected_dim
 
     sc = structure_constants(lam)

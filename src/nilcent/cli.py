@@ -14,10 +14,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .centralizer import basis_list, structure_constants, unit_support, verify_centralizer
-from .composition import Composition, invariant_degrees, min_length, monotone_compositions
+from .composition import (MAX_TOTAL, Composition, invariant_degrees, min_length,
+                          monotone_compositions)
 from .enveloping import (
     central_element,
     filtration_degree,
@@ -46,19 +46,6 @@ EXIT_RESOURCE = 4
 # adds rows to the sweep output, whose recorded benchmark digests and
 # acceptance counts then change with it.
 EXPANSION_CAP = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, normalized and validated."""
-
-    command: str
-    lam: Composition | None = None
-    r: int | None = None
-    seed: int = 0
-    max_n: int = 6
-    jobs: int = 1
-    as_json: bool = False
 
 
 def sweep_composition(lam: Composition, seed: int = 0) -> list[dict]:
@@ -128,23 +115,18 @@ def _sweep_worker(args: tuple) -> list[dict]:
             cache.cache_clear()
 
 
-def run_sweep(config: RunConfig, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    cap = int(os.environ.get("NILCENT_MAX_N", str(config.max_n)))
-    max_n = min(config.max_n, cap)
-    if max_n < config.max_n:
-        print(f"max N clamped to {max_n} by NILCENT_MAX_N", file=err)
-
+def _sweep(max_n: int, seed: int, jobs: int, err) -> tuple:
+    if not 1 <= max_n <= MAX_TOTAL:
+        raise ValueError(f"--max-N must lie in 1..{MAX_TOTAL}, got {max_n}")
     lams = []
     for total in range(1, max_n + 1):
         lams.extend(monotone_compositions(total))
     lams.sort(key=lambda c: (c.N, c.parts))
 
-    tasks = [(lam.parts, config.seed) for lam in lams]
+    tasks = [(lam.parts, seed) for lam in lams]
     t0 = time.time()
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_lam = list(pool.map(_sweep_worker, tasks))
     else:
         per_lam = []
@@ -157,22 +139,26 @@ def run_sweep(config: RunConfig, out=None, err=None) -> int:
 
     rows = [r for chunk in per_lam for r in chunk]
     ok = all(r["ok"] for r in rows)
-    if config.as_json:
-        obj = {"schema": 1, "max_N": max_n, "seed": config.seed,
-               "ok": ok, "rows": rows}
-        print(json.dumps(obj, indent=2, sort_keys=True), file=out)
-    else:
-        for lam, chunk in zip(lams, per_lam):
-            bad = [r for r in chunk if not r["ok"]]
-            status = "ok" if not bad else "FAILED"
-            print(f"lambda={lam}  N={lam.N}  checks={len(chunk)}  {status}",
-                  file=out)
-            for r in bad:
-                where = f" r={r['r']}" if r["r"] is not None else ""
-                print(f"  FAIL {r['check']}{where}  {r['detail']}", file=out)
-        print(f"{'SWEEP OK' if ok else 'SWEEP FAILED'}: "
-              f"{len(lams)} compositions, {len(rows)} checks", file=out)
-    return EXIT_OK if ok else EXIT_VERIFY
+    obj = {"schema": 1, "max_N": max_n, "seed": seed, "ok": ok, "rows": rows}
+    lines = []
+    for lam, chunk in zip(lams, per_lam):
+        bad = [r for r in chunk if not r["ok"]]
+        status = "ok" if not bad else "FAILED"
+        lines.append(f"lambda={lam}  N={lam.N}  checks={len(chunk)}  {status}")
+        for r in bad:
+            where = f" r={r['r']}" if r["r"] is not None else ""
+            lines.append(f"  FAIL {r['check']}{where}  {r['detail']}")
+    lines.append(f"{'SWEEP OK' if ok else 'SWEEP FAILED'}: "
+                 f"{len(lams)} compositions, {len(rows)} checks")
+    return obj, lines, ok
+
+
+def run_sweep(max_n: int, seed: int = 0, jobs: int = 1, as_json: bool = False,
+              out=None, err=None) -> int:
+    """Every check on every monotone composition of total up to max_n."""
+    ns = argparse.Namespace(command="sweep", max_n=max_n, seed=seed,
+                            jobs=jobs, as_json=as_json)
+    return run_command(ns, out=out, err=err)
 
 
 def _r_range(lam: Composition, r: int | None) -> list[int]:
@@ -183,131 +169,116 @@ def _r_range(lam: Composition, r: int | None) -> list[int]:
     return [r]
 
 
-def run_command(config: RunConfig, out=None) -> int:
+def _per_weight(lam: Composition, r: int | None, one) -> tuple:
+    """Join one(r) over the weights: a JSON list, or one object under --r."""
+    results = [one(s) for s in _r_range(lam, r)]
+    objs = [obj for obj, _, _ in results]
+    return (objs if r is None else objs[0],
+            [line for _, lines, _ in results for line in lines],
+            all(ok for _, _, ok in results))
+
+
+def _degrees(lam: Composition, ns) -> tuple:
+    degrees = invariant_degrees(lam)
+    obj = {"schema": 1, "lambda": lam.to_string(), "degrees": list(degrees)}
+    return obj, [" ".join(map(str, degrees))], True
+
+
+def _basis(lam: Composition, ns) -> tuple:
+    basis = basis_list(lam)
+    units = [unit_support(lam, idx) for idx in basis]
+    obj = {"schema": 1, "lambda": lam.to_string(), "dim": len(basis),
+           "basis": [{"index": list(idx), "units": [list(u) for u in us]}
+                     for idx, us in zip(basis, units)]}
+    lines = [f"e[{idx.i},{idx.j};{idx.r}] = "
+             + " + ".join(f"E({h},{k})" for h, k in us)
+             for idx, us in zip(basis, units)]
+    return obj, lines + [f"dim = {len(basis)}"], True
+
+
+def _central(lam: Composition, ns) -> tuple:
+    def one(r):
+        z = central_element(lam, r)
+        obj = pbw_to_json_obj(z)
+        obj.update(r=r, filtration_degree=filtration_degree(z))
+        return obj, [f"z_{r} = {z!r}"], True
+    return _per_weight(lam, ns.r, one)
+
+
+def _invariants(lam: Composition, ns) -> tuple:
+    def one(r):
+        x = elementary_invariant(lam, r)
+        obj = poly_to_json_obj(lam, x)
+        obj["r"] = r
+        return obj, [f"x_{r} = {x!r}"], True
+    return _per_weight(lam, ns.r, one)
+
+
+def _slice(lam: Composition, ns) -> tuple:
+    rep = verify_slice_coordinates(lam)
+    cert = jacobian_independence(lam, seed=ns.seed)
+    obj = {"schema": 1, "lambda": lam.to_string(),
+           "coordinates": [list(v) for v in slice_coordinates(lam)],
+           "restriction": rep.to_json_obj(),
+           "jacobian": cert.to_json_obj()}
+    status = "certified" if cert.certified else "inconclusive"
+    lines = rep.lines() + [f"jacobian rank {cert.rank} of {cert.target}: {status}"]
+    return obj, lines, rep.ok and cert.certified
+
+
+def _qdet(lam: Composition, ns) -> tuple:
+    def one(r):
+        z = z_polynomial(lam)[r - 1]
+        exp = expansion_identity(lam, r)
+        grad = verify_graded_image(lam, r)
+        obj = {"schema": 1, "lambda": lam.to_string(), "r": r,
+               "words": len(z.terms),
+               "expansion": exp.to_json_obj(),
+               "graded_image": grad.to_json_obj()}
+        lines = [f"Z_{r} = {z!r}"] + exp.lines() + grad.lines()
+        return obj, lines, exp.ok and grad.ok
+    return _per_weight(lam, ns.r, one)
+
+
+def _verify(lam: Composition, ns) -> tuple:
+    reports = [verify_central(lam, r) for r in _r_range(lam, ns.r)]
+    ok = all(rep.ok for rep in reports)
+    obj = {"schema": 1, "lambda": lam.to_string(), "ok": ok,
+           "reports": [rep.to_json_obj() for rep in reports]}
+    lines = []
+    for rep in reports:
+        lines.append(f"{'PASS' if rep.ok else 'FAIL'}  {rep.subject}")
+        lines.extend(f"  FAIL {c.name}  {c.detail}" for c in rep.failures())
+    lines.append("OK" if ok else "VERIFICATION FAILED")
+    return obj, lines, ok
+
+
+# per-composition subcommand: (handler, help, takes --r, takes --seed);
+# a handler maps (lam, parsed arguments) to (JSON object, text lines, ok)
+COMMANDS = {
+    "degrees": (_degrees, "degree sequence of the generating invariants", False, False),
+    "basis": (_basis, "centralizer basis and its matrix units", False, False),
+    "central": (_central, "central generators in PBW normal form", True, False),
+    "invariants": (_invariants, "top symbols in the symmetric algebra", True, False),
+    "slice": (_slice, "slice restriction and Jacobian independence", False, True),
+    "qdet": (_qdet, "symbol determinant, expansion and graded image", True, False),
+    "verify": (_verify, "centrality of every generator", True, False),
+}
+
+
+def run_command(ns: argparse.Namespace, out=None, err=None) -> int:
+    """Run one parsed subcommand, print its JSON or text, return the exit code."""
+    if ns.command == "sweep":
+        obj, lines, ok = _sweep(ns.max_n, ns.seed, ns.jobs, err or sys.stderr)
+    else:
+        obj, lines, ok = COMMANDS[ns.command][0](ns.lam, ns)
     out = out or sys.stdout
-    lam = config.lam
-    if config.command == "sweep":
-        return run_sweep(config, out=out)
-    assert lam is not None
-
-    if config.command == "degrees":
-        degrees = invariant_degrees(lam)
-        if config.as_json:
-            obj = {"schema": 1, "lambda": lam.to_string(),
-                   "degrees": list(degrees)}
-            print(json.dumps(obj, indent=2, sort_keys=True), file=out)
-        else:
-            print(" ".join(map(str, degrees)), file=out)
-        return EXIT_OK
-
-    if config.command == "basis":
-        basis = basis_list(lam)
-        if config.as_json:
-            obj = {"schema": 1, "lambda": lam.to_string(), "dim": len(basis),
-                   "basis": [{"index": list(idx),
-                              "units": [list(u) for u in unit_support(lam, idx)]}
-                             for idx in basis]}
-            print(json.dumps(obj, indent=2, sort_keys=True), file=out)
-        else:
-            for idx in basis:
-                units = " + ".join(f"E({h},{k})" for h, k in unit_support(lam, idx))
-                print(f"e[{idx.i},{idx.j};{idx.r}] = {units}", file=out)
-            print(f"dim = {len(basis)}", file=out)
-        return EXIT_OK
-
-    if config.command == "central":
-        rs = _r_range(lam, config.r)
-        objs = []
-        for r in rs:
-            z = central_element(lam, r)
-            if config.as_json:
-                obj = pbw_to_json_obj(z)
-                obj["r"] = r
-                obj["filtration_degree"] = filtration_degree(z)
-                objs.append(obj)
-            else:
-                print(f"z_{r} = {z!r}", file=out)
-        if config.as_json:
-            print(json.dumps(objs if config.r is None else objs[0],
-                             indent=2, sort_keys=True), file=out)
-        return EXIT_OK
-
-    if config.command == "invariants":
-        rs = _r_range(lam, config.r)
-        objs = []
-        for r in rs:
-            x = elementary_invariant(lam, r)
-            if config.as_json:
-                obj = poly_to_json_obj(lam, x)
-                obj["r"] = r
-                objs.append(obj)
-            else:
-                print(f"x_{r} = {x!r}", file=out)
-        if config.as_json:
-            print(json.dumps(objs if config.r is None else objs[0],
-                             indent=2, sort_keys=True), file=out)
-        return EXIT_OK
-
-    if config.command == "slice":
-        rep = verify_slice_coordinates(lam)
-        cert = jacobian_independence(lam, seed=config.seed)
-        if config.as_json:
-            obj = {"schema": 1, "lambda": lam.to_string(),
-                   "coordinates": [list(v) for v in slice_coordinates(lam)],
-                   "restriction": rep.to_json_obj(),
-                   "jacobian": cert.to_json_obj()}
-            print(json.dumps(obj, indent=2, sort_keys=True), file=out)
-        else:
-            for line in rep.lines():
-                print(line, file=out)
-            status = "certified" if cert.certified else "inconclusive"
-            print(f"jacobian rank {cert.rank} of {cert.target}: {status}",
-                  file=out)
-        ok = rep.ok and cert.certified
-        return EXIT_OK if ok else EXIT_VERIFY
-
-    if config.command == "qdet":
-        rs = _r_range(lam, config.r)
-        zs = z_polynomial(lam)
-        objs = []
-        ok = True
-        for r in rs:
-            exp = expansion_identity(lam, r)
-            grad = verify_graded_image(lam, r)
-            ok = ok and exp.ok and grad.ok
-            if config.as_json:
-                objs.append({
-                    "schema": 1, "lambda": lam.to_string(), "r": r,
-                    "words": len(zs[r - 1].terms),
-                    "expansion": exp.to_json_obj(),
-                    "graded_image": grad.to_json_obj(),
-                })
-            else:
-                print(f"Z_{r} = {zs[r - 1]!r}", file=out)
-                for line in exp.lines() + grad.lines():
-                    print(line, file=out)
-        if config.as_json:
-            print(json.dumps(objs if config.r is None else objs[0],
-                             indent=2, sort_keys=True), file=out)
-        return EXIT_OK if ok else EXIT_VERIFY
-
-    if config.command == "verify":
-        reports = [verify_central(lam, r) for r in _r_range(lam, config.r)]
-        ok = all(rep.ok for rep in reports)
-        if config.as_json:
-            obj = {"schema": 1, "lambda": lam.to_string(), "ok": ok,
-                   "reports": [rep.to_json_obj() for rep in reports]}
-            print(json.dumps(obj, indent=2, sort_keys=True), file=out)
-        else:
-            for rep in reports:
-                summary = "PASS" if rep.ok else "FAIL"
-                print(f"{summary}  {rep.subject}", file=out)
-                for c in rep.failures():
-                    print(f"  FAIL {c.name}  {c.detail}", file=out)
-            print("OK" if ok else "VERIFICATION FAILED", file=out)
-        return EXIT_OK if ok else EXIT_VERIFY
-
-    raise AssertionError(f"unhandled command {config.command}")
+    if ns.as_json:
+        print(json.dumps(obj, indent=2, sort_keys=True), file=out)
+    else:
+        for line in lines:
+            print(line, file=out)
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,14 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact central generators for centralizer enveloping algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, needs_lambda: bool = True,
-            takes_r: bool = False, takes_seed: bool = False):
+    for name, (_, help_, takes_r, takes_seed) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        if needs_lambda:
-            p.add_argument("--lambda", dest="lam", required=True,
-                           metavar="PARTS",
-                           help="comma separated parts, e.g. 1,2 or 4,3,2")
+        p.add_argument("--lambda", dest="lam", required=True, metavar="PARTS",
+                       help="comma separated parts, e.g. 1,2 or 4,3,2")
         if takes_r:
             p.add_argument("--r", type=int, default=None,
                            help="single weight (default: all 1..N)")
@@ -331,49 +298,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", dest="as_json", action="store_true",
                        help="machine readable output")
-        return p
-
-    add("degrees", "degree sequence of the generating invariants")
-    add("basis", "centralizer basis and its matrix units")
-    add("central", "central generators in PBW normal form", takes_r=True)
-    add("invariants", "top symbols in the symmetric algebra", takes_r=True)
-    add("slice", "slice restriction and Jacobian independence", takes_seed=True)
-    add("qdet", "symbol determinant, expansion and graded image", takes_r=True)
-    p = add("verify", "centrality of every generator", takes_r=True)
-    p.add_argument("--all-r", dest="all_r", action="store_true",
-                   help="check every weight 1..N (the default when --r is absent)")
-    p = add("sweep", "run every check over all compositions up to a size",
-            needs_lambda=False, takes_seed=True)
+    p = sub.add_parser("sweep",
+                       help="run every check over all compositions up to a size")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", dest="as_json", action="store_true",
+                   help="machine readable output")
     p.add_argument("--max-N", dest="max_n", type=int, default=6,
-                   help="largest composition total (default 6; "
-                        "NILCENT_MAX_N caps it)")
+                   help=f"largest composition total, 1..{MAX_TOTAL} (default 6)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallel workers (default: CPU count)")
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    lam = Composition.from_string(ns.lam) if getattr(ns, "lam", None) else None
-    r = getattr(ns, "r", None)
-    if getattr(ns, "all_r", False):
-        r = None
-    return RunConfig(
-        command=ns.command,
-        lam=lam,
-        r=r,
-        seed=getattr(ns, "seed", 0),
-        max_n=getattr(ns, "max_n", 6),
-        jobs=getattr(ns, "jobs", 1),
-        as_json=ns.as_json,
-    )
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_config(argv)
-        return run_command(config)
+        ns = build_parser().parse_args(argv)
+        if ns.command in COMMANDS:
+            ns.lam = Composition.from_string(ns.lam)
+        return run_command(ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

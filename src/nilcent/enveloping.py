@@ -277,8 +277,8 @@ def pbw_to_json_obj(a: PbwElement) -> dict:
 def pbw_from_json_obj(obj: dict) -> PbwElement:
     lam = Composition.from_string(obj["lambda"])
     alg = pbw_algebra(lam)
-    terms = {}
+    pairs = []
     for t in obj["terms"]:
         word = tuple(BasisIndex(*m) for m in t["monomial"])
-        terms[word] = parse_scalar(t["coeff"])
-    return alg.from_index_terms(terms)
+        pairs.append((word, parse_scalar(t["coeff"])))
+    return alg.from_index_terms(accumulate({}, pairs))

@@ -237,10 +237,10 @@ def poly_to_json_obj(lam: Composition, p: Polynomial) -> dict:
 
 
 def poly_from_json_obj(obj: dict) -> Polynomial:
-    terms = {}
+    pairs = []
     for t in obj["terms"]:
         mono: tuple = ()
         for v, power in t["monomial"]:
             mono = mono + (BasisIndex(*v),) * power
-        terms[tuple(sorted(mono))] = parse_scalar(t["coeff"])
-    return Polynomial(terms)
+        pairs.append((tuple(sorted(mono)), parse_scalar(t["coeff"])))
+    return Polynomial(accumulate({}, pairs))

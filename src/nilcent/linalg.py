@@ -1,7 +1,10 @@
-"""Exact scalar helpers and rational linear algebra.
+"""Exact scalars, the column determinant and a sparse exact rank.
 
 Scalars throughout the package are Python ints or fractions.Fraction; no
-floating point is used anywhere.
+floating point is used anywhere.  rational_rank reads each row as a map
+from column to scalar, so a sparse row costs only its nonzero entries; it
+keeps its own drop-if-zero update because sparse, home of accumulate,
+imports this module.
 """
 
 from __future__ import annotations
@@ -99,26 +102,28 @@ def column_determinant(matrix):
 
 
 def rational_rank(rows) -> int:
-    """Rank of a matrix (list of rows of exact scalars) by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of a matrix whose rows map columns to exact scalars.
+
+    Zero entries may be left out, and columns need only be comparable.
+    Forward elimination: each row is reduced against the pivot rows found
+    so far, smallest column first, and what is left, if anything, becomes a
+    pivot row at its smallest column.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = {col: v for col, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = Fraction(1) / row[col]
+                pivots[col] = {c: v * inv for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                w = row.get(c, 0) - factor * v
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)

@@ -167,7 +167,7 @@ def jacobian_independence(lam: Composition, polys=None, seed: int = 0,
     if polys is None:
         polys = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
     variables = basis_list(lam)
-    partials = [[p.partial(v) for v in variables] for p in polys]
+    partials = [{v: p.partial(v) for v in p.variables()} for p in polys]
     rng = random.Random(seed)
     target = len(polys)
     best = 0
@@ -175,8 +175,8 @@ def jacobian_independence(lam: Composition, polys=None, seed: int = 0,
     tried = 0
     for k in range(attempts):
         point = {v: rng.randint(-9, 9) for v in variables}
-        matrix = [[q.evaluate(point) for q in row] for row in partials]
-        rank = rational_rank(matrix)
+        rank = rational_rank([{v: q.evaluate(point) for v, q in row.items()}
+                              for row in partials])
         tried = k + 1
         best = max(best, rank)
         if rank == target:

@@ -150,12 +150,6 @@ class TestVerify:
         assert rc == 0
         assert len(out.splitlines()) == 2
 
-    def test_all_r_flag(self, capsys):
-        rc, out, _ = run(capsys, "verify", "--lambda", "1,2", "--r", "1",
-                         "--all-r")
-        assert rc == 0
-        assert len(out.splitlines()) == 4
-
     def test_failure_exit_code(self, capsys, monkeypatch):
         def fake_verify(lam, r):
             return Report("forced", (Check("forced failure", False, "detail"),))
@@ -168,21 +162,19 @@ class TestVerify:
 
 class TestSweep:
     def test_byte_determinism(self):
-        config = cli.RunConfig(command="sweep", max_n=3, jobs=1, seed=0)
         outputs = []
         for _ in range(2):
             out, err = io.StringIO(), io.StringIO()
-            rc = cli.run_sweep(config, out=out, err=err)
+            rc = cli.run_sweep(3, seed=0, jobs=1, out=out, err=err)
             assert rc == 0
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
         assert "SWEEP OK" in outputs[0]
 
     def test_json_shape(self):
-        config = cli.RunConfig(command="sweep", max_n=2, jobs=1, seed=0,
-                               as_json=True)
         out, err = io.StringIO(), io.StringIO()
-        assert cli.run_sweep(config, out=out, err=err) == 0
+        assert cli.run_sweep(2, seed=0, jobs=1, as_json=True,
+                             out=out, err=err) == 0
         obj = json.loads(out.getvalue())
         assert obj["schema"] == 1 and obj["ok"] is True
         assert obj["max_N"] == 2
@@ -191,18 +183,9 @@ class TestSweep:
         assert all(set(row) == {"check", "lambda", "r", "ok", "detail"}
                    for row in obj["rows"])
 
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("NILCENT_MAX_N", "2")
-        config = cli.RunConfig(command="sweep", max_n=3, jobs=1, seed=0)
-        out, err = io.StringIO(), io.StringIO()
-        assert cli.run_sweep(config, out=out, err=err) == 0
-        assert "max N clamped to 2 by NILCENT_MAX_N" in err.getvalue()
-        assert "3 compositions" in out.getvalue()
-
     def test_serial_sweep_drops_each_pbw_algebra(self):
-        config = cli.RunConfig(command="sweep", max_n=3, jobs=1, seed=0)
         out, err = io.StringIO(), io.StringIO()
-        assert cli.run_sweep(config, out=out, err=err) == 0
+        assert cli.run_sweep(3, seed=0, jobs=1, out=out, err=err) == 0
         for cache in (pbw_algebra, structure_constants,
                       elementary_invariant, z_polynomial):
             assert cache.cache_info().currsize == 0, cache
@@ -218,6 +201,13 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "central", "--lambda", "1,2", "--r", "9")
         assert rc == cli.EXIT_USAGE
         assert "--r must lie in 1..3" in err
+
+    @pytest.mark.parametrize("max_n", ["0", "-1", "65"])
+    def test_max_n_out_of_range(self, capsys, max_n):
+        rc, out, err = run(capsys, "sweep", "--max-N", max_n, "--jobs", "1")
+        assert rc == cli.EXIT_USAGE
+        assert out == ""
+        assert f"error: --max-N must lie in 1..64, got {max_n}" in err
 
     @pytest.mark.parametrize("exc, code", [
         (RuntimeError("symbol determinant is not monic of degree N"),

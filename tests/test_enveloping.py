@@ -206,6 +206,19 @@ class TestSerialization:
         assert obj["terms"][0]["coeff"] == "-3/2"
         assert pbw_from_json_obj(obj) == a
 
+    def test_zero_coefficient_reads_as_zero(self):
+        obj = {"lambda": "1,2",
+               "terms": [{"monomial": [[1, 1, 0]], "coeff": "0"}]}
+        assert pbw_from_json_obj(obj).is_zero()
+
+    def test_repeated_word_adds(self):
+        word = [[1, 1, 0], [2, 2, 1]]
+        obj = {"lambda": "1,2",
+               "terms": [{"monomial": word, "coeff": "1"},
+                         {"monomial": word, "coeff": "2"}]}
+        a = embed(LAM12, (1, 1, 0)) * embed(LAM12, (2, 2, 1))
+        assert pbw_from_json_obj(obj) == a * 3
+
     def test_repr_frozen(self):
         z3 = central_element(LAM12, 3)
         assert repr(z3) == (

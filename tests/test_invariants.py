@@ -227,6 +227,17 @@ class TestSerialization:
         text = json.dumps(obj, sort_keys=True)
         assert poly_from_json_obj(json.loads(text)) == p
 
+    def test_zero_coefficient_reads_as_zero(self):
+        obj = {"terms": [{"monomial": [[[1, 1, 0], 1]], "coeff": "0"}]}
+        p = poly_from_json_obj(obj)
+        assert p == Polynomial.zero() and p.is_zero()
+
+    def test_repeated_monomial_adds(self):
+        mono = [[[1, 1, 0], 2], [[2, 2, 1], 1]]
+        obj = {"terms": [{"monomial": mono, "coeff": "1"},
+                         {"monomial": mono, "coeff": "2"}]}
+        assert poly_from_json_obj(obj) == var(1, 1, 0) * var(1, 1, 0) * var(2, 2, 1) * 3
+
     def test_exponent_form(self):
         p = var(1, 1, 0) * var(1, 1, 0) * var(2, 2, 1)
         obj = poly_to_json_obj(LAM12, p)
