@@ -33,7 +33,6 @@ from .enveloping import (
     embed,
     filtration_degree,
     pbw_algebra,
-    tilde,
     verify_central,
 )
 from .freealg import (
@@ -44,16 +43,12 @@ from .freealg import (
     loop_weight,
     t_symbol,
     verify_graded_image,
-    verify_left_minor_vanishing,
     z_polynomial,
 )
 from .invariants import (
-    DualIndex,
     Polynomial,
     adjoint_action,
-    coadjoint_action,
     elementary_invariant,
-    pairing_consistency,
     top_symbol,
     verify_invariant,
 )

@@ -12,10 +12,9 @@ constants come from the shifted-Yangian bracket rule
     [e[i,j;r], e[k,l;s]] = d_jk e[i,l;r+s] - d_il e[k,j;r+s],
 
 with labels outside the admissible window dropped.  The sparse matrix
-model (UnitMatrix, matrix_commutator, expand_in_basis) is the oracle:
-verify_centralizer checks the basis against e with it, and
-TestStructureConstants.test_matches_matrix_commutators checks the rule
-against honest matrix commutators, expanded unit by unit.
+model (UnitMatrix, matrix_commutator) checks the basis against e in
+verify_centralizer; the tests also check the bracket rule against matrix
+commutators with it.
 """
 
 from __future__ import annotations
@@ -38,34 +37,9 @@ class BasisIndex(NamedTuple):
     r: int
 
 
-@dataclass(frozen=True)
-class Pyramid:
-    """Row and column lookups for the boxes, numbered 1..N along rows."""
-
-    lam: Composition
-    _rows: tuple[int, ...]
-    _cols: tuple[int, ...]
-
-    def row(self, k: int) -> int:
-        return self._rows[k - 1]
-
-    def col(self, k: int) -> int:
-        return self._cols[k - 1]
-
-    def row_start(self, i: int) -> int:
-        """Number of the first box in row i, 1-based."""
-        return 1 + sum(self.lam.parts[: i - 1])
-
-
-@lru_cache(maxsize=None)
-def pyramid(lam: Composition) -> Pyramid:
-    rows = []
-    cols = []
-    for i, width in enumerate(lam.parts, start=1):
-        for c in range(1, width + 1):
-            rows.append(i)
-            cols.append(c)
-    return Pyramid(lam, tuple(rows), tuple(cols))
+def row_start(lam: Composition, i: int) -> int:
+    """Number of the first box in row i, 1-based."""
+    return 1 + sum(lam.parts[: i - 1])
 
 
 class UnitMatrix(SparseElement):
@@ -87,10 +61,9 @@ def matrix_commutator(a: UnitMatrix, b: UnitMatrix) -> UnitMatrix:
 @lru_cache(maxsize=None)
 def nilpotent_matrix(lam: Composition) -> UnitMatrix:
     """The nilpotent with one Jordan block of size lam_i per row."""
-    pyr = pyramid(lam)
     units = {}
     for i, width in enumerate(lam.parts, start=1):
-        start = pyr.row_start(i)
+        start = row_start(lam, i)
         units.update(((start + c, start + c + 1), 1) for c in range(width - 1))
     return UnitMatrix(units)
 
@@ -106,9 +79,8 @@ def unit_support(lam: Composition, idx: BasisIndex) -> tuple[tuple[int, int], ..
     """The matrix units (h, k) summed by e[i,j;r], in column order."""
     if not is_admissible(lam, idx):
         raise ValueError(f"inadmissible label {idx} for lambda={lam}")
-    pyr = pyramid(lam)
     i, j, r = idx
-    si, sj = pyr.row_start(i), pyr.row_start(j)
+    si, sj = row_start(lam, i), row_start(lam, j)
     count = min(lam.part(i), lam.part(j) - r)
     return tuple((si + c, sj + c + r) for c in range(count))
 
@@ -128,29 +100,6 @@ def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
                 BasisIndex(i, j, r) for r in range(s.entry(i, j), lam.part(j))
             )
     return tuple(out)
-
-
-def expand_in_basis(lam: Composition, mat: UnitMatrix) -> dict[BasisIndex, int]:
-    """Write a matrix in the centralizer basis, verifying exactness.
-
-    Distinct basis elements have disjoint unit supports, and (h, k)
-    determines its label, so it suffices to group units by label and check
-    each group is a constant multiple of the full support.
-    """
-    pyr = pyramid(lam)
-    groups: dict[BasisIndex, dict[tuple[int, int], object]] = {}
-    for (h, k), c in mat.terms.items():
-        idx = BasisIndex(pyr.row(h), pyr.row(k), pyr.col(k) - pyr.col(h))
-        groups.setdefault(idx, {})[(h, k)] = c
-    out = {}
-    for idx, units in groups.items():
-        if not is_admissible(lam, idx):
-            raise ValueError(f"matrix lies outside the centralizer: unit group {idx}")
-        coeffs = set(units.values())
-        if len(coeffs) != 1 or set(units) != set(unit_support(lam, idx)):
-            raise ValueError(f"matrix lies outside the centralizer: ragged group {idx}")
-        out[idx] = coeffs.pop()
-    return out
 
 
 @dataclass(frozen=True)

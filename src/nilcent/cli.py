@@ -118,6 +118,8 @@ def _sweep_worker(args: tuple) -> list[dict]:
 def _sweep(max_n: int, seed: int, jobs: int, err) -> tuple:
     if not 1 <= max_n <= MAX_TOTAL:
         raise ValueError(f"--max-N must lie in 1..{MAX_TOTAL}, got {max_n}")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     lams = []
     for total in range(1, max_n + 1):
         lams.extend(monotone_compositions(total))
@@ -126,7 +128,10 @@ def _sweep(max_n: int, seed: int, jobs: int, err) -> tuple:
     tasks = [(lam.parts, seed) for lam in lams]
     t0 = time.time()
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit, so it gets
+        # no more than there are tasks or CPUs to run them
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_lam = list(pool.map(_sweep_worker, tasks))
     else:
         per_lam = []
@@ -151,14 +156,6 @@ def _sweep(max_n: int, seed: int, jobs: int, err) -> tuple:
     lines.append(f"{'SWEEP OK' if ok else 'SWEEP FAILED'}: "
                  f"{len(lams)} compositions, {len(rows)} checks")
     return obj, lines, ok
-
-
-def run_sweep(max_n: int, seed: int = 0, jobs: int = 1, as_json: bool = False,
-              out=None, err=None) -> int:
-    """Every check on every monotone composition of total up to max_n."""
-    ns = argparse.Namespace(command="sweep", max_n=max_n, seed=seed,
-                            jobs=jobs, as_json=as_json)
-    return run_command(ns, out=out, err=err)
 
 
 def _r_range(lam: Composition, r: int | None) -> list[int]:
@@ -306,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-N", dest="max_n", type=int, default=6,
                    help=f"largest composition total, 1..{MAX_TOTAL} (default 6)")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers (default: CPU count)")
+                   help="parallel workers, at least 1, capped at the CPU count "
+                        "and the number of compositions (default: CPU count)")
     return parser
 
 

@@ -219,33 +219,25 @@ def shift_matrix(lam: Composition) -> ShiftMatrix:
     return ShiftMatrix(lam, entries)
 
 
-def check_admissibility_inequality(lam: Composition, mu: SubComposition,
-                                   w: tuple[int, ...]) -> bool:
+def factors_admissible(lam: Composition, mu: SubComposition) -> bool:
     """Whether every factor of the column determinant for mu is admissible.
 
-    w is a permutation of 1..length(mu) acting on support positions; the
-    factor in column position j has row pair (support[w_j], support[j]) and
-    degree mu_{support[j]} - 1, which is admissible exactly when
-    mu_{support[j]} exceeds the corresponding shift matrix entry.
+    Rows and columns are the support of mu; the factor in row a, column b
+    has degree mu_b - 1, which is admissible exactly when mu_b exceeds the
+    shift matrix entry s_{a,b}.  Every (row, column) pair is a factor of
+    some permutation, so this covers every summand.
     """
     supp = mu.support()
-    d = len(supp)
-    if sorted(w) != list(range(1, d + 1)):
-        raise ValueError(f"w must be a permutation of 1..{d}, got {w}")
     s = shift_matrix(lam)
-    for j in range(1, d + 1):
-        col = supp[j - 1]
-        row = supp[w[j - 1] - 1]
-        if mu.part(col) <= s.entry(row, col):
-            return False
-    return True
+    return all(mu.part(b) > s.entry(a, b) for a in supp for b in supp)
 
 
-def monotone_compositions(total: int, include_decreasing: bool = True) -> list[Composition]:
+def monotone_compositions(total: int) -> list[Composition]:
     """All weakly monotone compositions of the given total.
 
-    Weakly increasing ones first, in ascending lexicographic order; with
-    include_decreasing each non-constant one also appears reversed.
+    Weakly increasing ones first, in ascending lexicographic order, then
+    each non-constant one reversed; filtering on is_increasing keeps the
+    first block.
     """
     if total < 1:
         raise ValueError("total must be positive")
@@ -262,6 +254,5 @@ def monotone_compositions(total: int, include_decreasing: bool = True) -> list[C
             prefix.pop()
 
     rec(total, 1)
-    if include_decreasing:
-        out.extend(c.reversed() for c in list(out) if c.parts != c.parts[::-1])
+    out.extend(c.reversed() for c in list(out) if c.parts != c.parts[::-1])
     return out

@@ -18,11 +18,11 @@ from .centralizer import BasisIndex, basis_list, structure_constants
 from .composition import (
     Composition,
     SubComposition,
-    check_admissibility_inequality,
     enumerate_mu,
+    factors_admissible,
     invariant_degrees,
 )
-from .linalg import column_determinant, format_scalar, parse_scalar
+from .linalg import column_determinant, format_scalar
 from .reports import Check, Report
 from .sparse import SparseElement, accumulate
 
@@ -71,19 +71,6 @@ class PbwAlgebra:
             if shift:
                 el = el - self.scalar(shift)
         return el
-
-    def from_index_terms(self, terms: dict) -> "PbwElement":
-        """Build an element from {tuple of BasisIndex: coefficient}.
-
-        Words need not be sorted; unsorted ones are straightened.
-        """
-        out: dict = {}
-        for word, c in terms.items():
-            if not c:
-                continue
-            ids = tuple(self.index_of[BasisIndex(*b)] for b in word)
-            accumulate(out, self._normal_form(ids).items(), c)
-        return PbwElement(self, out)
 
     def _normal_form(self, word: tuple) -> dict:
         """Memoised normal form of an arbitrary word of interned labels.
@@ -155,10 +142,6 @@ def embed(lam: Composition, idx) -> PbwElement:
     return pbw_algebra(lam).embed(idx)
 
 
-def tilde(lam: Composition, idx) -> PbwElement:
-    return pbw_algebra(lam).tilde(idx)
-
-
 def commutator(a: PbwElement, b: PbwElement) -> PbwElement:
     """a*b - b*a, using the derivation rule when one side is linear.
 
@@ -215,16 +198,9 @@ def cdet_mu(lam: Composition, mu) -> PbwElement:
         raise ValueError(
             f"subcomposition {mu} does not have minimal length for weight {mu.weight}"
         )
+    if not factors_admissible(lam, mu):
+        raise RuntimeError(f"inadmissible column-determinant factor for mu={mu}")
     supp = mu.support()
-    d = len(supp)
-    # each (row, column) pair is a factor of exactly one of the d cyclic
-    # shifts, so checking them checks every factor of every permutation
-    for k in range(d):
-        w = tuple((j + k) % d + 1 for j in range(d))
-        if not check_admissibility_inequality(lam, mu, w):
-            raise RuntimeError(
-                f"inadmissible column-determinant factor for mu={mu}, w={w}"
-            )
     alg = pbw_algebra(lam)
     return column_determinant(
         [[alg.tilde(BasisIndex(row, col, mu.part(col) - 1)) for col in supp]
@@ -272,13 +248,3 @@ def pbw_to_json_obj(a: PbwElement) -> dict:
             for word, c in a.index_terms()
         ],
     }
-
-
-def pbw_from_json_obj(obj: dict) -> PbwElement:
-    lam = Composition.from_string(obj["lambda"])
-    alg = pbw_algebra(lam)
-    pairs = []
-    for t in obj["terms"]:
-        word = tuple(BasisIndex(*m) for m in t["monomial"])
-        pairs.append((word, parse_scalar(t["coeff"])))
-    return alg.from_index_terms(accumulate({}, pairs))

@@ -5,16 +5,16 @@ are TSymbol(i, j, s) with s >= 1, subject to the window rule: the symbol
 of superscript s vanishes when 0 < s <= shift(i,j) or s > lam_j, and
 superscript 0 is the scalar delta_{i,j} (never stored as a letter).  The
 column determinant of the twisted symbol matrix produces a monic
-polynomial in a central variable u whose coefficients expand the central
-generators; loop_weight grades the words, and substituting letters by
-centralizer generators sends the top-weight part onto the central
-generator of matching weight.
+polynomial in a central variable u whose coefficients Z_r expand the
+central generators.  expansion_identity checks Z_r against its binomial
+expansion; verify_graded_image checks that loop_weight is bounded on the
+words of Z_r and that substituting centralizer generators for the letters
+sends the top-weight part onto the central generator of matching weight.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -247,88 +247,3 @@ def verify_graded_image(lam: Composition, r: int) -> Report:
               "" if diff.is_zero() else f"difference has {len(diff.terms)} terms"),
     )
     return Report(f"graded image lambda={lam} r={r}", checks)
-
-
-def left_minor_cdets(matrix, j: int):
-    """Column determinants of all j x j minors in the first j columns."""
-    n = len(matrix)
-    for rows in itertools.combinations(range(n), j):
-        yield rows, column_determinant(
-            [[matrix[a][b] for b in range(j)] for a in rows]
-        )
-
-
-def verify_left_minor_vanishing(n: int, trials: int, seed: int) -> Report:
-    """Randomized instances of the left-minor vanishing property.
-
-    Each trial builds an n x n matrix over the free algebra whose first j
-    columns are arranged to kill every left j x j minor: either one of
-    those columns is zero, or the first j columns take entries in the
-    commutative subalgebra of words in a single letter with an exact
-    linear dependency among them.  Both the hypothesis (all left minors
-    vanish) and the conclusion (the full column determinant vanishes) are
-    checked on every trial.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 for a nontrivial minor statement")
-    rng = random.Random(seed)
-    checks = []
-    for trial in range(trials):
-        j = rng.randint(1, n - 1)
-        mode = rng.choice(("zero-column", "dependent-columns"))
-        matrix = [[FreeElement.zero()] * n for _ in range(n)]
-        if mode == "zero-column":
-            dead = rng.randint(0, j - 1)
-            for col in range(j):
-                if col == dead:
-                    continue
-                for row in range(n):
-                    matrix[row][col] = _random_element(rng)
-        else:
-            # single-letter words commute, so dependent columns are honest;
-            # the combination coefficients are fixed per column
-            x = "x"
-            for col in range(j - 1):
-                for row in range(n):
-                    matrix[row][col] = _random_single_letter_poly(rng, x)
-            coeffs = [_combination_coeff(rng, x) for _ in range(j - 1)]
-            for row in range(n):
-                acc = FreeElement.zero()
-                for col in range(j - 1):
-                    acc = acc + matrix[row][col] * coeffs[col]
-                matrix[row][j - 1] = acc
-        for col in range(j, n):
-            for row in range(n):
-                matrix[row][col] = _random_element(rng)
-
-        hypothesis_ok = all(
-            det.is_zero() for _, det in left_minor_cdets(matrix, j)
-        )
-        conclusion = column_determinant(matrix)
-        checks.append(
-            Check(f"trial {trial} (j={j}, {mode})",
-                  hypothesis_ok and conclusion.is_zero(),
-                  "" if hypothesis_ok else "hypothesis violated")
-        )
-    return Report(f"left-minor vanishing n={n} trials={trials} seed={seed}",
-                  tuple(checks))
-
-
-def _random_element(rng) -> FreeElement:
-    letters = ["a", "b", "c", "d"]
-    out = FreeElement.zero()
-    for _ in range(rng.randint(1, 2)):
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-        out = out + FreeElement({word: rng.choice((-2, -1, 1, 2, 3))})
-    return out
-
-
-def _random_single_letter_poly(rng, x) -> FreeElement:
-    out = FreeElement.zero()
-    for k in range(rng.randint(1, 3)):
-        out = out + FreeElement({(x,) * k: rng.randint(-3, 3)})
-    return out
-
-
-def _combination_coeff(rng, x) -> FreeElement:
-    return FreeElement({(x,) * rng.randint(0, 1): rng.choice((-2, -1, 1, 2))})

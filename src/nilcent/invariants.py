@@ -1,21 +1,19 @@
-"""Top symbols in the symmetric algebra, adjoint and coadjoint actions.
+"""Top symbols in the symmetric algebra and the adjoint action.
 
 The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  The adjoint action extends the bracket as a
-derivation; the coadjoint action acts on dual labels with the convention
-that labels falling outside the admissible window are zero.
+derivation, and verify_invariant applies it to each elementary invariant.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
 
 from .centralizer import BasisIndex, basis_list, is_admissible, structure_constants
 from .composition import Composition, enumerate_mu
-from .linalg import column_determinant, format_scalar, parse_scalar
+from .linalg import column_determinant, format_scalar
 from .reports import Check, Report
 from .sparse import SparseElement, accumulate
 
@@ -158,74 +156,6 @@ def verify_invariant(lam: Composition, r: int) -> Report:
     return Report(f"invariance lambda={lam} r={r}", tuple(checks))
 
 
-class DualIndex(NamedTuple):
-    """Label f[i,j;r] of the dual basis vector of e[i,j;r]."""
-
-    i: int
-    j: int
-    r: int
-
-
-def dual_index_or_none(lam: Composition, i: int, j: int, r: int):
-    """The dual label, or None when (i, j, r) falls outside the window.
-
-    This is the single constructor through which the out-of-window-is-zero
-    convention enters.
-    """
-    idx = BasisIndex(i, j, r)
-    return DualIndex(i, j, r) if is_admissible(lam, idx) else None
-
-
-def coadjoint_action(lam: Composition, x, phi) -> dict:
-    """Action of a basis generator on a dual label.
-
-    Returns a map from DualIndex to integer coefficients; inputs or
-    outputs outside the admissible window are dropped as zero.
-    """
-    x = BasisIndex(*x)
-    if not is_admissible(lam, x):
-        raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
-    i, j, r = x
-    k, l, s = phi
-    if dual_index_or_none(lam, k, l, s) is None:
-        return {}
-    images = []
-    if j == l:
-        images.append((dual_index_or_none(lam, k, i, s - r), 1))
-    if i == k:
-        images.append((dual_index_or_none(lam, j, l, s - r), -1))
-    return accumulate({}, ((d, c) for d, c in images if d is not None))
-
-
-def pairing_consistency(lam: Composition) -> Report:
-    """Dual-pairing identity over every basis triple.
-
-    For basis labels x, v, y: the coefficient of y in [x, v] must equal
-    minus the coefficient of the dual of v in the coadjoint action of x on
-    the dual of y.
-    """
-    sc = structure_constants(lam)
-    basis = basis_list(lam)
-    checks = []
-    for x in basis:
-        bad = ""
-        for v in basis:
-            bracket = dict(sc.bracket(x, v))
-            dual_v = DualIndex(*v)
-            for y in basis:
-                lhs = bracket.get(y, 0)
-                rhs = -coadjoint_action(lam, x, DualIndex(*y)).get(dual_v, 0)
-                if lhs != rhs:
-                    bad = f"v={tuple(v)}, y={tuple(y)}: {lhs} != {rhs}"
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"pairing at e[{x.i},{x.j};{x.r}]", not bad, bad)
-        )
-    return Report(f"pairing consistency lambda={lam}", tuple(checks))
-
-
 def poly_to_json_obj(lam: Composition, p: Polynomial) -> dict:
     """Monomials serialize as sorted [variable, exponent] pairs."""
     items = []
@@ -234,13 +164,3 @@ def poly_to_json_obj(lam: Composition, p: Polynomial) -> dict:
         items.append({"monomial": packed,
                       "coeff": format_scalar(p.terms[mono])})
     return {"schema": 1, "lambda": lam.to_string(), "terms": items}
-
-
-def poly_from_json_obj(obj: dict) -> Polynomial:
-    pairs = []
-    for t in obj["terms"]:
-        mono: tuple = ()
-        for v, power in t["monomial"]:
-            mono = mono + (BasisIndex(*v),) * power
-        pairs.append((tuple(sorted(mono)), parse_scalar(t["coeff"])))
-    return Polynomial(accumulate({}, pairs))

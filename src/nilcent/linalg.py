@@ -24,12 +24,6 @@ def format_scalar(c) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_scalar(text: str):
-    """Inverse of format_scalar; returns int when the value is integral."""
-    f = Fraction(text)
-    return f.numerator if f.denominator == 1 else f
-
-
 def format_terms(pairs) -> str:
     """Join (coefficient, monomial-string) pairs into a signed sum."""
     bits = []
@@ -51,21 +45,6 @@ def format_terms(pairs) -> str:
     for sign, body in bits[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of distinct comparable values.
-
-    Only the tests use it, as the Leibniz-formula reference for
-    column_determinant.
-    """
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def column_determinant(matrix):

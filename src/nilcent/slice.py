@@ -22,6 +22,8 @@ from .linalg import rational_rank
 from .reports import Check, Report
 from .sparse import accumulate
 
+JACOBIAN_ATTEMPTS = 5
+
 
 class PVar(NamedTuple):
     """Slice coordinate p[j,t] with 1 <= j <= n and 0 <= t < lam_j."""
@@ -155,14 +157,15 @@ class JacobianCertificate:
         }
 
 
-def jacobian_independence(lam: Composition, polys=None, seed: int = 0,
-                          attempts: int = 5) -> JacobianCertificate:
+def jacobian_independence(lam: Composition, polys=None,
+                          seed: int = 0) -> JacobianCertificate:
     """Certify algebraic independence by exact Jacobian rank at random points.
 
     Rows are the given polynomials (default: all N invariants), columns the
     basis labels; points have integer coordinates in [-9, 9] drawn from a
-    seeded generator.  Full rank at any point is a proof; failure after the
-    allotted attempts is reported as inconclusive, never as a refutation.
+    seeded generator.  Full rank at any point is a proof; failure after
+    JACOBIAN_ATTEMPTS points is reported as inconclusive, never as a
+    refutation.
     """
     if polys is None:
         polys = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
@@ -173,7 +176,7 @@ def jacobian_independence(lam: Composition, polys=None, seed: int = 0,
     best = 0
     point_index = None
     tried = 0
-    for k in range(attempts):
+    for k in range(JACOBIAN_ATTEMPTS):
         point = {v: rng.randint(-9, 9) for v in variables}
         rank = rational_rank([{v: q.evaluate(point) for v, q in row.items()}
                               for row in partials])

@@ -1,5 +1,7 @@
 """Shared strategies for property tests."""
 
+import math
+
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,9 @@ def pbw_elements(lam, max_len: int = 2, max_terms: int = 3):
                     max_size=max_len).map(tuple)
     pairs = st.lists(st.tuples(word, st.integers(-3, 3)),
                      min_size=0, max_size=max_terms)
-    return pairs.map(lambda ps: alg.from_index_terms(dict(ps)))
+    return pairs.map(lambda ps: sum(
+        (c * math.prod(map(alg.embed, w), start=alg.one())
+         for w, c in dict(ps).items()), alg.zero()))
 
 
 def polynomials(lam, max_degree: int = 2, max_terms: int = 3):

@@ -1,0 +1,220 @@
+"""Reference implementations the tests compare the package against.
+
+None of this runs in a command: each function is an independent model of
+something the package computes another way, or a property the tests
+check on random instances.
+"""
+
+import itertools
+import random
+from typing import NamedTuple
+
+from nilcent.centralizer import (
+    BasisIndex,
+    basis_list,
+    is_admissible,
+    structure_constants,
+    unit_support,
+)
+from nilcent.freealg import FreeElement
+from nilcent.linalg import column_determinant
+from nilcent.reports import Check, Report
+from nilcent.sparse import accumulate
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as a tuple of distinct comparable values.
+
+    The Leibniz-formula reference for column_determinant.
+    """
+    inversions = sum(
+        1
+        for a in range(len(perm))
+        for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def box_position(lam, k: int) -> tuple[int, int]:
+    """(row, column) of box k, with boxes numbered 1..N along rows."""
+    for i, width in enumerate(lam.parts, start=1):
+        if k <= width:
+            return i, k
+        k -= width
+    raise ValueError(f"box {k} lies outside lambda={lam}")
+
+
+def expand_in_basis(lam, mat) -> dict:
+    """Write a UnitMatrix in the centralizer basis, verifying exactness.
+
+    Distinct basis elements have disjoint unit supports, and (h, k)
+    determines its label, so it suffices to group units by label and check
+    each group is a constant multiple of the full support.
+    """
+    groups: dict = {}
+    for (h, k), c in mat.terms.items():
+        (row_h, col_h), (row_k, col_k) = box_position(lam, h), box_position(lam, k)
+        groups.setdefault(BasisIndex(row_h, row_k, col_k - col_h), {})[(h, k)] = c
+    out = {}
+    for idx, units in groups.items():
+        if not is_admissible(lam, idx):
+            raise ValueError(f"matrix lies outside the centralizer: unit group {idx}")
+        coeffs = set(units.values())
+        if len(coeffs) != 1 or set(units) != set(unit_support(lam, idx)):
+            raise ValueError(f"matrix lies outside the centralizer: ragged group {idx}")
+        out[idx] = coeffs.pop()
+    return out
+
+
+class DualIndex(NamedTuple):
+    """Label f[i,j;r] of the dual basis vector of e[i,j;r]."""
+
+    i: int
+    j: int
+    r: int
+
+
+def dual_index_or_none(lam, i: int, j: int, r: int):
+    """The dual label, or None when (i, j, r) falls outside the window.
+
+    This is the single constructor through which the out-of-window-is-zero
+    convention enters.
+    """
+    idx = BasisIndex(i, j, r)
+    return DualIndex(i, j, r) if is_admissible(lam, idx) else None
+
+
+def coadjoint_action(lam, x, phi) -> dict:
+    """Action of a basis generator on a dual label.
+
+    Returns a map from DualIndex to integer coefficients; inputs or
+    outputs outside the admissible window are dropped as zero.
+    """
+    x = BasisIndex(*x)
+    if not is_admissible(lam, x):
+        raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
+    i, j, r = x
+    k, l, s = phi
+    if dual_index_or_none(lam, k, l, s) is None:
+        return {}
+    images = []
+    if j == l:
+        images.append((dual_index_or_none(lam, k, i, s - r), 1))
+    if i == k:
+        images.append((dual_index_or_none(lam, j, l, s - r), -1))
+    return accumulate({}, ((d, c) for d, c in images if d is not None))
+
+
+def pairing_consistency(lam) -> Report:
+    """Dual-pairing identity over every basis triple.
+
+    For basis labels x, v, y: the coefficient of y in [x, v] must equal
+    minus the coefficient of the dual of v in the coadjoint action of x on
+    the dual of y.
+    """
+    sc = structure_constants(lam)
+    basis = basis_list(lam)
+    checks = []
+    for x in basis:
+        bad = ""
+        for v in basis:
+            bracket = dict(sc.bracket(x, v))
+            dual_v = DualIndex(*v)
+            for y in basis:
+                lhs = bracket.get(y, 0)
+                rhs = -coadjoint_action(lam, x, DualIndex(*y)).get(dual_v, 0)
+                if lhs != rhs:
+                    bad = f"v={tuple(v)}, y={tuple(y)}: {lhs} != {rhs}"
+                    break
+            if bad:
+                break
+        checks.append(
+            Check(f"pairing at e[{x.i},{x.j};{x.r}]", not bad, bad)
+        )
+    return Report(f"pairing consistency lambda={lam}", tuple(checks))
+
+
+def left_minor_cdets(matrix, j: int):
+    """Column determinants of all j x j minors in the first j columns."""
+    n = len(matrix)
+    for rows in itertools.combinations(range(n), j):
+        yield rows, column_determinant(
+            [[matrix[a][b] for b in range(j)] for a in rows]
+        )
+
+
+def verify_left_minor_vanishing(n: int, trials: int, seed: int) -> Report:
+    """Randomized instances of the left-minor vanishing property.
+
+    Each trial builds an n x n matrix over the free algebra whose first j
+    columns are arranged to kill every left j x j minor: either one of
+    those columns is zero, or the first j columns take entries in the
+    commutative subalgebra of words in a single letter with an exact
+    linear dependency among them.  Both the hypothesis (all left minors
+    vanish) and the conclusion (the full column determinant vanishes) are
+    checked on every trial.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2 for a nontrivial minor statement")
+    rng = random.Random(seed)
+    checks = []
+    for trial in range(trials):
+        j = rng.randint(1, n - 1)
+        mode = rng.choice(("zero-column", "dependent-columns"))
+        matrix = [[FreeElement.zero()] * n for _ in range(n)]
+        if mode == "zero-column":
+            dead = rng.randint(0, j - 1)
+            for col in range(j):
+                if col == dead:
+                    continue
+                for row in range(n):
+                    matrix[row][col] = _random_element(rng)
+        else:
+            # single-letter words commute, so dependent columns are honest;
+            # the combination coefficients are fixed per column
+            x = "x"
+            for col in range(j - 1):
+                for row in range(n):
+                    matrix[row][col] = _random_single_letter_poly(rng, x)
+            coeffs = [_combination_coeff(rng, x) for _ in range(j - 1)]
+            for row in range(n):
+                acc = FreeElement.zero()
+                for col in range(j - 1):
+                    acc = acc + matrix[row][col] * coeffs[col]
+                matrix[row][j - 1] = acc
+        for col in range(j, n):
+            for row in range(n):
+                matrix[row][col] = _random_element(rng)
+
+        hypothesis_ok = all(
+            det.is_zero() for _, det in left_minor_cdets(matrix, j)
+        )
+        conclusion = column_determinant(matrix)
+        checks.append(
+            Check(f"trial {trial} (j={j}, {mode})",
+                  hypothesis_ok and conclusion.is_zero(),
+                  "" if hypothesis_ok else "hypothesis violated")
+        )
+    return Report(f"left-minor vanishing n={n} trials={trials} seed={seed}",
+                  tuple(checks))
+
+
+def _random_element(rng) -> FreeElement:
+    letters = ["a", "b", "c", "d"]
+    out = FreeElement.zero()
+    for _ in range(rng.randint(1, 2)):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+        out = out + FreeElement({word: rng.choice((-2, -1, 1, 2, 3))})
+    return out
+
+
+def _random_single_letter_poly(rng, x) -> FreeElement:
+    out = FreeElement.zero()
+    for k in range(rng.randint(1, 3)):
+        out = out + FreeElement({(x,) * k: rng.randint(-3, 3)})
+    return out
+
+
+def _combination_coeff(rng, x) -> FreeElement:
+    return FreeElement({(x,) * rng.randint(0, 1): rng.choice((-2, -1, 1, 2))})

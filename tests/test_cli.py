@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from nilcent import cli
 from nilcent.centralizer import structure_constants
 from nilcent.composition import Composition
-from nilcent.enveloping import central_element, pbw_algebra, pbw_from_json_obj
+from nilcent.enveloping import central_element, pbw_algebra, pbw_to_json_obj
 from nilcent.freealg import z_polynomial
 from nilcent.invariants import elementary_invariant
 from nilcent.reports import Check, Report
@@ -16,6 +17,14 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def sweep(max_n, as_json=False):
+    """Exit code and stdout of a serial sweep with seed 0."""
+    ns = argparse.Namespace(command="sweep", max_n=max_n, seed=0, jobs=1,
+                            as_json=as_json)
+    out, err = io.StringIO(), io.StringIO()
+    return cli.run_command(ns, out=out, err=err), out.getvalue()
 
 
 class TestDegrees:
@@ -60,7 +69,7 @@ class TestCentral:
         assert obj["r"] == 3
         assert obj["filtration_degree"] == 2
         lam = Composition((1, 2))
-        assert pbw_from_json_obj(obj) == central_element(lam, 3)
+        assert obj["terms"] == pbw_to_json_obj(central_element(lam, 3))["terms"]
 
     def test_single_block(self, capsys):
         rc, out, _ = run(capsys, "central", "--lambda", "5", "--r", "3",
@@ -164,18 +173,16 @@ class TestSweep:
     def test_byte_determinism(self):
         outputs = []
         for _ in range(2):
-            out, err = io.StringIO(), io.StringIO()
-            rc = cli.run_sweep(3, seed=0, jobs=1, out=out, err=err)
+            rc, out = sweep(3)
             assert rc == 0
-            outputs.append(out.getvalue())
+            outputs.append(out)
         assert outputs[0] == outputs[1]
         assert "SWEEP OK" in outputs[0]
 
     def test_json_shape(self):
-        out, err = io.StringIO(), io.StringIO()
-        assert cli.run_sweep(2, seed=0, jobs=1, as_json=True,
-                             out=out, err=err) == 0
-        obj = json.loads(out.getvalue())
+        rc, out = sweep(2, as_json=True)
+        assert rc == 0
+        obj = json.loads(out)
         assert obj["schema"] == 1 and obj["ok"] is True
         assert obj["max_N"] == 2
         lams = {row["lambda"] for row in obj["rows"]}
@@ -184,11 +191,39 @@ class TestSweep:
                    for row in obj["rows"])
 
     def test_serial_sweep_drops_each_pbw_algebra(self):
-        out, err = io.StringIO(), io.StringIO()
-        assert cli.run_sweep(3, seed=0, jobs=1, out=out, err=err) == 0
+        assert sweep(3)[0] == 0
         for cache in (pbw_algebra, structure_constants,
                       elementary_invariant, z_polynomial):
             assert cache.cache_info().currsize == 0, cache
+
+    def test_pool_matches_serial(self, capsys):
+        serial = run(capsys, "sweep", "--max-N", "3", "--jobs", "1", "--json")
+        pooled = run(capsys, "sweep", "--max-N", "3", "--jobs", "2", "--json")
+        assert serial[0] == pooled[0] == 0
+        assert serial[1] == pooled[1]
+
+    def test_pool_size_is_capped(self, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        for cpus in (64, 2):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            rc, out, _ = run(capsys, "sweep", "--max-N", "2", "--jobs", "10000")
+            assert rc == 0 and "SWEEP OK: 3 compositions" in out
+        assert sizes == [3, 2]
 
 
 class TestUsageErrors:
@@ -208,6 +243,13 @@ class TestUsageErrors:
         assert rc == cli.EXIT_USAGE
         assert out == ""
         assert f"error: --max-N must lie in 1..64, got {max_n}" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, capsys, jobs):
+        rc, out, err = run(capsys, "sweep", "--max-N", "2", "--jobs", jobs)
+        assert rc == cli.EXIT_USAGE
+        assert out == ""
+        assert f"error: --jobs must be at least 1, got {jobs}" in err
 
     @pytest.mark.parametrize("exc, code", [
         (RuntimeError("symbol determinant is not monic of degree N"),
