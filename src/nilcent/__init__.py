@@ -27,10 +27,9 @@ from .composition import (
 )
 from .enveloping import (
     PbwElement,
+    basis_commutators,
     cdet_mu,
     central_element,
-    commutator,
-    embed,
     filtration_degree,
     pbw_algebra,
     verify_central,
@@ -47,7 +46,7 @@ from .freealg import (
 )
 from .invariants import (
     Polynomial,
-    adjoint_action,
+    adjoint_actions,
     elementary_invariant,
     top_symbol,
     verify_invariant,

@@ -127,10 +127,10 @@ def _sweep(max_n: int, seed: int, jobs: int, err) -> tuple:
 
     tasks = [(lam.parts, seed) for lam in lams]
     t0 = time.time()
-    if jobs > 1:
-        # the pool starts all its workers at the first submit, so it gets
-        # no more than there are tasks or CPUs to run them
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    # the pool starts all its workers at the first submit, so it gets no
+    # more than there are tasks or CPUs to run them; one worker runs serially
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_lam = list(pool.map(_sweep_worker, tasks))
     else:

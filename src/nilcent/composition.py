@@ -67,10 +67,6 @@ class Composition:
     def is_increasing(self) -> bool:
         return all(a <= b for a, b in zip(self.parts, self.parts[1:]))
 
-    @property
-    def is_decreasing(self) -> bool:
-        return all(a >= b for a, b in zip(self.parts, self.parts[1:]))
-
     def part(self, i: int) -> int:
         """The i-th part, 1-based."""
         return self.parts[i - 1]
@@ -118,9 +114,6 @@ class SubComposition:
     def support(self) -> tuple[int, ...]:
         """1-based positions of the nonzero parts, in increasing order."""
         return tuple(i for i, p in enumerate(self.parts, start=1) if p)
-
-    def contains(self, other: "SubComposition") -> bool:
-        return all(a >= b for a, b in zip(self.parts, other.parts))
 
     def __str__(self):
         return ",".join(str(p) for p in self.parts)

@@ -3,19 +3,22 @@
 The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  The adjoint action extends the bracket as a
-derivation, and verify_invariant applies it to each elementary invariant.
+derivation; adjoint_actions applies that of every basis generator to one
+polynomial, and verify_invariant checks that each one kills an
+elementary invariant.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from functools import lru_cache
 
-from .centralizer import BasisIndex, basis_list, is_admissible, structure_constants
+from .centralizer import BasisIndex, basis_list, structure_constants
 from .composition import Composition, enumerate_mu
 from .linalg import column_determinant, format_scalar
-from .reports import Check, Report
-from .sparse import SparseElement, accumulate
+from .reports import Report, residual_check
+from .sparse import SparseElement, accumulate, letter_positions
 
 
 class Polynomial(SparseElement):
@@ -129,30 +132,35 @@ def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     return total
 
 
-def adjoint_action(lam: Composition, x, p: Polynomial) -> Polynomial:
-    """Derivation extending y -> [x, y] on variables."""
+def adjoint_actions(lam: Composition, p: Polynomial):
+    """Yield (idx, ad e_idx . p) for every basis label, in basis_list order.
+
+    ad x is the derivation extending v -> [x, v] on variables: each
+    bracket term replaces one variable of a monomial.  The monomials of p
+    are indexed by variable once.
+    """
     sc = structure_constants(lam)
-    x = BasisIndex(*x)
-    if not is_admissible(lam, x):
-        raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
-    return Polynomial(accumulate({}, (
-        (tuple(sorted(mono[:t] + mono[t + 1:] + (z,))), c * cz)
-        for mono, c in p.terms.items()
-        for t, v in enumerate(mono)
-        for z, cz in sc.bracket(x, v)
-    )))
+    index = letter_positions(p.terms)
+    for x in basis_list(lam):
+        out: dict = {}
+        for v, places in index.items():
+            terms = sc.bracket(x, v)
+            if not terms:
+                continue
+            for head, tail, c in places:
+                for z, cz in terms:
+                    mono = list(head + tail)
+                    insort(mono, z)
+                    mono = tuple(mono)
+                    out[mono] = out.get(mono, 0) + c * cz
+        yield x, Polynomial({m: c for m, c in out.items() if c})
 
 
 def verify_invariant(lam: Composition, r: int) -> Report:
     """Adjoint invariance of the degree-d_r symbol, generator by generator."""
     p = elementary_invariant(lam, r)
-    checks = []
-    for idx in basis_list(lam):
-        q = adjoint_action(lam, idx, p)
-        checks.append(
-            Check(f"ad e[{idx.i},{idx.j};{idx.r}] kills x_{r}", q.is_zero(),
-                  "" if q.is_zero() else f"residual has {len(q.terms)} terms")
-        )
+    checks = [residual_check(f"ad e[{idx.i},{idx.j};{idx.r}] kills x_{r}", q)
+              for idx, q in adjoint_actions(lam, p)]
     return Report(f"invariance lambda={lam} r={r}", tuple(checks))
 
 

@@ -157,18 +157,15 @@ class JacobianCertificate:
         }
 
 
-def jacobian_independence(lam: Composition, polys=None,
-                          seed: int = 0) -> JacobianCertificate:
+def jacobian_independence(lam: Composition, seed: int = 0) -> JacobianCertificate:
     """Certify algebraic independence by exact Jacobian rank at random points.
 
-    Rows are the given polynomials (default: all N invariants), columns the
-    basis labels; points have integer coordinates in [-9, 9] drawn from a
-    seeded generator.  Full rank at any point is a proof; failure after
-    JACOBIAN_ATTEMPTS points is reported as inconclusive, never as a
-    refutation.
+    Rows are the N invariants, columns the basis labels; points have
+    integer coordinates in [-9, 9] drawn from a seeded generator.  Full
+    rank at any point is a proof; failure after JACOBIAN_ATTEMPTS points
+    is reported as inconclusive, never as a refutation.
     """
-    if polys is None:
-        polys = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
+    polys = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
     variables = basis_list(lam)
     partials = [{v: p.partial(v) for v in p.variables()} for p in polys]
     rng = random.Random(seed)

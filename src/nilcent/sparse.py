@@ -26,6 +26,16 @@ def accumulate(out: dict, pairs, scale=1) -> dict:
     return out
 
 
+def letter_positions(terms: dict) -> dict:
+    """Map each letter x to every (head, tail, c) with head + (x,) + tail a
+    monomial of terms and c its coefficient."""
+    index: dict = {}
+    for m, c in terms.items():
+        for t, x in enumerate(m):
+            index.setdefault(x, []).append((m[:t], m[t + 1:], c))
+    return index
+
+
 class SparseElement:
     """Ring element stored as a map from monomials to nonzero coefficients.
 
@@ -108,7 +118,17 @@ class SparseElement:
             return self * other
         return NotImplemented
 
+    def leading_term(self):
+        """The first term in repr order, as an element; undefined on zero."""
+        m = min(self.terms, key=_repr_key)
+        return self._new({m: self.terms[m]})
+
     def __repr__(self):
-        order = sorted(self.terms, key=lambda m: (-len(m), m))
+        order = sorted(self.terms, key=_repr_key)
         return format_terms((self.terms[m], self._format_monomial(m))
                             for m in order)
+
+
+def _repr_key(m):
+    """Longer monomials first, then in monomial order."""
+    return (-len(m), m)

@@ -1,4 +1,4 @@
-"""Shared strategies for property tests."""
+"""Shared strategies for property tests, and the generator shorthand."""
 
 import math
 
@@ -17,6 +17,11 @@ settings.load_profile("suite")
 SMALL_COMPOSITIONS = tuple(
     lam for total in range(1, 5) for lam in monotone_compositions(total)
 )
+
+
+def embed(lam, idx):
+    """The generator e[idx] of the enveloping algebra for lam."""
+    return pbw_algebra(lam).embed(idx)
 
 
 def compositions(max_total: int = 4, increasing_only: bool = False):

@@ -16,7 +16,9 @@ from nilcent.centralizer import (
     structure_constants,
     unit_support,
 )
+from nilcent.enveloping import PbwElement
 from nilcent.freealg import FreeElement
+from nilcent.invariants import Polynomial
 from nilcent.linalg import column_determinant
 from nilcent.reports import Check, Report
 from nilcent.sparse import accumulate
@@ -65,6 +67,55 @@ def expand_in_basis(lam, mat) -> dict:
             raise ValueError(f"matrix lies outside the centralizer: ragged group {idx}")
         out[idx] = coeffs.pop()
     return out
+
+
+def transposition_normal_form(alg, word: tuple) -> dict:
+    """PBW normal form of a word of interned labels, one transposition at a time.
+
+    The first out-of-order pair x*y rewrites to y*x + [x, y], with the
+    bracket read from structure_constants; each rewrite lowers (word
+    length, inversion count), so the reduction terminates.  The reference
+    for the package's one-letter insertion.
+    """
+    pos = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
+    if pos is None:
+        return {word: 1}
+    x, y = word[pos], word[pos + 1]
+    head, tail = word[:pos], word[pos + 2:]
+    result = dict(transposition_normal_form(alg, head + (y, x) + tail))
+    bracket = structure_constants(alg.lam).bracket(alg.basis[x], alg.basis[y])
+    for z, c in bracket:
+        accumulate(result, transposition_normal_form(
+            alg, head + (alg.index_of[z],) + tail).items(), c)
+    return result
+
+
+def transposition_product(a, b) -> PbwElement:
+    """a * b with every product of words straightened by transposition."""
+    alg = a.algebra
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            accumulate(out, transposition_normal_form(alg, m1 + m2).items(),
+                       c1 * c2)
+    return PbwElement(alg, out)
+
+
+def adjoint_action(lam, x, p) -> Polynomial:
+    """Derivation extending v -> [x, v] on variables, position by position.
+
+    The reference for invariants.adjoint_actions.
+    """
+    sc = structure_constants(lam)
+    x = BasisIndex(*x)
+    if not is_admissible(lam, x):
+        raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
+    return Polynomial(accumulate({}, (
+        (tuple(sorted(mono[:t] + mono[t + 1:] + (z,))), c * cz)
+        for mono, c in p.terms.items()
+        for t, v in enumerate(mono)
+        for z, cz in sc.bracket(x, v)
+    )))
 
 
 class DualIndex(NamedTuple):

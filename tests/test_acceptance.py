@@ -16,10 +16,11 @@ import pytest
 from nilcent.centralizer import BasisIndex, basis_list, structure_constants
 from nilcent.cli import EXPANSION_CAP, sweep_composition
 from nilcent.composition import Composition, monotone_compositions
-from nilcent.enveloping import central_element, embed, pbw_algebra
+from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.invariants import Polynomial, elementary_invariant
 from nilcent.slice import restrict
 
+from conftest import embed
 from oracles import verify_left_minor_vanishing
 
 MAX_N = 6

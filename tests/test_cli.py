@@ -219,11 +219,16 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        for cpus in (64, 2):
+        for cpus in (64, 2, 1):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
             rc, out, _ = run(capsys, "sweep", "--max-N", "2", "--jobs", "10000")
             assert rc == 0 and "SWEEP OK: 3 compositions" in out
         assert sizes == [3, 2]
+
+    def test_one_task_runs_serially(self, capsys):
+        rc, _, err = run(capsys, "sweep", "--max-N", "1", "--jobs", "2")
+        assert rc == 0
+        assert "lambda=1: " in err
 
 
 class TestUsageErrors:

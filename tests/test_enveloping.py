@@ -1,23 +1,25 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcent import enveloping
 from nilcent.centralizer import BasisIndex, basis_list, structure_constants
 from nilcent.composition import Composition, SubComposition, monotone_compositions
 from nilcent.enveloping import (
+    basis_commutators,
     cdet_mu,
     central_element,
-    commutator,
-    embed,
     filtration_degree,
     pbw_algebra,
     pbw_to_json_obj,
     verify_central,
 )
 
-from conftest import pbw_elements
+from conftest import compositions, embed, pbw_elements
+from oracles import transposition_normal_form, transposition_product
 
 LAM12 = Composition((1, 2))
 LAM11 = Composition((1, 1))
@@ -26,6 +28,11 @@ LAM11 = Composition((1, 1))
 def words(a):
     """Terms of a PbwElement keyed by tuples of BasisIndex."""
     return dict(a.index_terms())
+
+
+def commutators(a):
+    """[a, e_idx] keyed by idx."""
+    return dict(basis_commutators(a))
 
 
 class TestBasicElements:
@@ -101,25 +108,78 @@ class TestMultiplication:
                     assert lhs == rhs
 
 
+class TestInsertion:
+    @pytest.mark.parametrize("lam", [Composition(p) for p in (
+        (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 3), (1, 1, 1, 1))], ids=str)
+    @given(data=st.data())
+    def test_products_match_transposition_oracle(self, lam, data):
+        """Generators multiplied in any order straighten as by transposition."""
+        alg = pbw_algebra(lam)
+        word = data.draw(st.lists(st.integers(0, len(alg.basis) - 1),
+                                  max_size=5).map(tuple))
+        got = math.prod((alg.embed(alg.basis[t]) for t in word), start=alg.one())
+        assert got.terms == transposition_normal_form(alg, word)
+
+
 class TestCommutator:
     def test_example(self):
-        got = commutator(embed(LAM12, (1, 1, 0)), embed(LAM12, (1, 2, 1)))
+        got = commutators(embed(LAM12, (1, 1, 0)))[BasisIndex(1, 2, 1)]
         assert got == embed(LAM12, (1, 2, 1))
 
     @pytest.mark.parametrize("lam", [LAM12, Composition((2, 2))])
     @settings(max_examples=40)
     @given(data=st.data())
     def test_matches_defining_formula(self, lam, data):
-        """The linear fast path must agree with a*b - b*a exactly."""
+        """[a, e] agrees with a*e - e*a exactly, for every generator e."""
         a = data.draw(pbw_elements(lam))
-        b = data.draw(pbw_elements(lam))
-        assert commutator(a, b) == a * b - b * a
-        assert commutator(a, b) == -commutator(b, a)
-        assert commutator(a, a).is_zero()
+        got = commutators(a)
+        assert tuple(got) == basis_list(lam)
+        for idx, c in got.items():
+            e = embed(lam, idx)
+            assert c == a * e - e * a
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_matches_transposition_oracle(self, data):
+        lam = data.draw(compositions())
+        a = data.draw(pbw_elements(lam))
+        for idx, c in basis_commutators(a):
+            e = embed(lam, idx)
+            assert c == transposition_product(a, e) - transposition_product(e, a)
+
+    @settings(max_examples=30)
+    @given(a=pbw_elements(LAM12), b=pbw_elements(LAM12))
+    def test_derivation_rule(self, a, b):
+        ca, cb, cab = commutators(a), commutators(b), commutators(a * b)
+        for idx in basis_list(LAM12):
+            assert cab[idx] == ca[idx] * b + a * cb[idx]
+
+    @pytest.mark.parametrize("lam", [LAM11, LAM12, Composition((2, 2))])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_jacobi(self, lam, data):
+        """[[a, x], y] - [[a, y], x] = [a, [x, y]] for generators x, y."""
+        a = data.draw(pbw_elements(lam))
+        sc = structure_constants(lam)
+        ca = commutators(a)
+        nested = {x: commutators(c) for x, c in ca.items()}
+        for x, y in itertools.product(basis_list(lam), repeat=2):
+            rhs = pbw_algebra(lam).zero()
+            for z, c in sc.bracket(x, y):
+                rhs = rhs + c * ca[z]
+            assert nested[x][y] - nested[y][x] == rhs
+
+    def test_generators_antisymmetric(self):
+        for lam in (LAM12, Composition((1, 1, 2))):
+            for x, y in itertools.product(basis_list(lam), repeat=2):
+                assert (commutators(embed(lam, x))[y]
+                        == -commutators(embed(lam, y))[x])
 
     def test_scalar_commutes(self):
         alg = pbw_algebra(LAM12)
-        assert commutator(embed(LAM12, (2, 1, 0)), alg.scalar(7)).is_zero()
+        got = commutators(alg.scalar(7))
+        assert tuple(got) == basis_list(LAM12)
+        assert all(c.is_zero() for c in got.values())
 
 
 class TestCdet:
@@ -186,6 +246,18 @@ class TestCentralElements:
                 rep = verify_central(lam, r)
                 assert rep.ok
                 assert len(rep.checks) == len(basis_list(lam))
+
+    def test_failed_check_names_a_witness(self, monkeypatch):
+        real = enveloping.central_element
+        planted = 2 * embed(LAM12, (1, 1, 0)) * embed(LAM12, (1, 2, 1))
+        monkeypatch.setattr(enveloping, "central_element",
+                            lambda lam, r: real(lam, r) + planted)
+        rep = verify_central(LAM12, 2)
+        assert not rep.ok
+        details = {c.name: c.detail for c in rep.failures()}
+        assert len(details) == 4
+        assert details["[z_2, e[2,1;0]] = 0"] == (
+            "residual has 3 terms, leading -2*e[1,1;0]*e[2,2;1]")
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from nilcent.centralizer import BasisIndex
 from nilcent.composition import Composition, monotone_compositions
-from nilcent.enveloping import central_element, embed, pbw_algebra
+from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.freealg import (
     FreeElement,
     TSymbol,
@@ -22,7 +22,7 @@ from nilcent.freealg import (
     z_polynomial,
 )
 
-from conftest import free_elements
+from conftest import embed, free_elements
 from oracles import left_minor_cdets, perm_sign, verify_left_minor_vanishing
 
 LAM12 = Composition((1, 2))

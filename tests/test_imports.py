@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, and
-every top-level function or class is used somewhere in the package.
+every top-level function or class, and every method of one, is used
+somewhere in the package.
 
 Package re-exports in __init__.py and __future__ imports are exempt, and
 a re-export does not count as a use: code that only tests call belongs in
@@ -40,17 +41,30 @@ def test_no_unused_imports(path):
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
-    """Top-level functions and classes whose name no source reads.
+    """Top-level functions and classes, and the non-dunder methods of
+    top-level classes, whose name no source reads.
 
-    Only a bare name counts as a use; obj.name reads an attribute, which
-    may be a method of the same name.
+    A top-level name is used only by a bare name; obj.name reads an
+    attribute, which may be a method of the same name.  A method is used
+    by a bare name or by an attribute read.
     """
     trees = [ast.parse(source) for source in sources]
-    used = {n.id for tree in trees for n in ast.walk(tree)
-            if isinstance(n, ast.Name)}
-    return [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in used]
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    reads = names | {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                     and isinstance(n.ctx, ast.Load)}
+    unused = []
+    for node in (node for tree in trees for node in tree.body):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name not in names:
+            unused.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            unused += [f"{node.name}.{m.name}" for m in node.body
+                       if isinstance(m, ast.FunctionDef)
+                       and not (m.name.startswith("__") and m.name.endswith("__"))
+                       and m.name not in reads]
+    return unused
 
 
 def test_the_check_sees_an_unreferenced_definition():
@@ -58,6 +72,18 @@ def test_the_check_sees_an_unreferenced_definition():
                "class Kept:\n    pass\n\n\ndef shadowed():\n    pass\n\n"
                "x = Kept().shadowed()\n"]
     assert unreferenced_definitions(sources) == ["dead", "shadowed"]
+
+
+def test_the_check_sees_an_unreferenced_method():
+    source = ("class Box:\n"
+              "    def __len__(self):\n        return 0\n\n"
+              "    def read(self):\n        return self.helper()\n\n"
+              "    def helper(self):\n        return 1\n\n"
+              "    def aliased(self):\n        return 2\n\n"
+              "    def dead(self):\n        return 3\n\n"
+              "    other = aliased\n\n\n"
+              "box = Box()\nbox.dead = box.read\n")
+    assert unreferenced_definitions([source]) == ["Box.dead"]
 
 
 def test_every_definition_is_referenced():

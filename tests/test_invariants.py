@@ -4,20 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcent.centralizer import BasisIndex, basis_list
+from nilcent import invariants
+from nilcent.centralizer import BasisIndex, basis_list, structure_constants
 from nilcent.composition import Composition, invariant_degrees, monotone_compositions
-from nilcent.enveloping import central_element, embed, pbw_algebra
+from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.invariants import (
     Polynomial,
-    adjoint_action,
+    adjoint_actions,
     elementary_invariant,
     poly_to_json_obj,
     top_symbol,
     verify_invariant,
 )
 
-from conftest import pbw_elements, polynomials
-from oracles import DualIndex, coadjoint_action, dual_index_or_none, pairing_consistency
+from conftest import compositions, embed, pbw_elements, polynomials
+from oracles import (
+    DualIndex,
+    adjoint_action,
+    coadjoint_action,
+    dual_index_or_none,
+    pairing_consistency,
+)
 
 LAM12 = Composition((1, 2))
 LAM11 = Composition((1, 1))
@@ -31,6 +38,11 @@ E210 = BasisIndex(2, 1, 0)
 
 def var(i, j, r):
     return Polynomial.variable(BasisIndex(i, j, r))
+
+
+def ad(lam, p):
+    """ad e_idx . p keyed by idx."""
+    return dict(adjoint_actions(lam, p))
 
 
 class TestPolynomial:
@@ -127,47 +139,51 @@ class TestElementaryInvariants:
 
 class TestAdjointAction:
     def test_kills_constants(self):
-        assert adjoint_action(LAM12, E121, Polynomial.constant(9)).is_zero()
+        assert ad(LAM12, Polynomial.constant(9))[E121].is_zero()
 
     def test_single_variable(self):
-        got = adjoint_action(LAM11, BasisIndex(1, 2, 0), var(2, 1, 0))
+        got = ad(LAM11, var(2, 1, 0))[BasisIndex(1, 2, 0)]
         assert got == var(1, 1, 0) - var(2, 2, 0)
 
     def test_trace_is_invariant(self):
         trace = var(1, 1, 0) + var(2, 2, 0)
-        for x in basis_list(LAM11):
-            assert adjoint_action(LAM11, x, trace).is_zero()
+        got = ad(LAM11, trace)
+        assert tuple(got) == basis_list(LAM11)
+        assert all(q.is_zero() for q in got.values())
 
     def test_inadmissible_raises(self):
-        with pytest.raises(ValueError):
-            adjoint_action(LAM12, BasisIndex(1, 2, 0), var(1, 1, 0))
+        with pytest.raises(KeyError):
+            ad(LAM12, var(1, 1, 0))[BasisIndex(1, 2, 0)]
 
     @settings(max_examples=30)
     @given(p=polynomials(LAM12), q=polynomials(LAM12))
     def test_leibniz(self, p, q):
-        x = E121
-        lhs = adjoint_action(LAM12, x, p * q)
-        rhs = adjoint_action(LAM12, x, p) * q + p * adjoint_action(LAM12, x, q)
-        assert lhs == rhs
+        ad_p, ad_q, ad_pq = ad(LAM12, p), ad(LAM12, q), ad(LAM12, p * q)
+        for x in basis_list(LAM12):
+            assert ad_pq[x] == ad_p[x] * q + p * ad_q[x]
 
     def test_lie_action_on_variables(self):
         """ad[x,y] agrees with ad x ad y - ad y ad x, exhaustively for N <= 4."""
-        from nilcent.centralizer import structure_constants
-
         for total in range(1, 5):
             for lam in monotone_compositions(total):
                 sc = structure_constants(lam)
                 basis = basis_list(lam)
-                for x, y in itertools.product(basis, repeat=2):
-                    for v in basis:
-                        p = Polynomial.variable(v)
+                for v in basis:
+                    once = ad(lam, Polynomial.variable(v))
+                    twice = {y: ad(lam, q) for y, q in once.items()}
+                    for x, y in itertools.product(basis, repeat=2):
                         lhs = Polynomial.zero()
                         for z, c in sc.bracket(x, y):
-                            lhs = lhs + c * adjoint_action(lam, z, p)
-                        rhs = adjoint_action(
-                            lam, x, adjoint_action(lam, y, p)
-                        ) - adjoint_action(lam, y, adjoint_action(lam, x, p))
-                        assert lhs == rhs
+                            lhs = lhs + c * once[z]
+                        assert lhs == twice[y][x] - twice[x][y]
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_matches_per_position_oracle(self, data):
+        lam = data.draw(compositions())
+        p = data.draw(polynomials(lam, max_degree=3))
+        for x, q in adjoint_actions(lam, p):
+            assert q == adjoint_action(lam, x, p)
 
     def test_verify_invariant_small(self):
         for lam in (LAM12, LAM11, Composition((3,)), Composition((2, 2))):
@@ -175,6 +191,17 @@ class TestAdjointAction:
                 rep = verify_invariant(lam, r)
                 assert rep.ok
                 assert len(rep.checks) == len(basis_list(lam))
+
+    def test_failed_check_names_a_witness(self, monkeypatch):
+        real = invariants.elementary_invariant
+        planted = 2 * var(1, 1, 0) * var(1, 2, 1)
+        monkeypatch.setattr(invariants, "elementary_invariant",
+                            lambda lam, r: real(lam, r) + planted)
+        rep = verify_invariant(LAM12, 2)
+        assert not rep.ok
+        details = {c.name: c.detail for c in rep.failures()}
+        assert details["ad e[2,1;0] kills x_2"] == (
+            "residual has 2 terms, leading 2*e[1,1;0]*e[2,2;1]")
 
 
 class TestCoadjointAction:
