@@ -32,6 +32,7 @@ from .enveloping import (
     central_element,
     filtration_degree,
     pbw_algebra,
+    product_sum,
     verify_central,
 )
 from .freealg import (

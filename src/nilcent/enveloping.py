@@ -192,6 +192,38 @@ def basis_commutators(a: PbwElement):
         yield idx, PbwElement(alg, {m: c for m, c in out.items() if c})
 
 
+def product_sum(lam: Composition, terms: dict) -> PbwElement:
+    """Normal form of sum c * e_x1 ... e_xk over the (x1, ..., xk): c of terms.
+
+    Letters are BasisIndex labels.  The words are walked in sorted order,
+    so words sharing a prefix are neighbours; a stack holds the normal
+    form of every prefix of the current word, and each distinct prefix is
+    multiplied out once, by inserting its last letter into the terms of
+    the prefix one shorter.
+    """
+    alg = pbw_algebra(lam)
+    insert = alg._insert
+    out: dict = {}
+    stack = [{(): 1}]  # stack[d] is the normal form of the first d letters
+    prev: tuple = ()
+    for word in sorted(terms):
+        shared, limit = 0, min(len(prev), len(word))
+        while shared < limit and prev[shared] == word[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for x in word[shared:]:
+            z = alg.index_of.get(x)
+            if z is None:
+                raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
+            image: dict = {}
+            for w, c in stack[-1].items():
+                accumulate(image, insert(w, z, ()).items(), c)
+            stack.append(image)
+        accumulate(out, stack[-1].items(), terms[word])
+        prev = word
+    return PbwElement(alg, out)
+
+
 def filtration_degree(a: PbwElement) -> int:
     """Length of the longest monomial; undefined on zero."""
     if a.is_zero():

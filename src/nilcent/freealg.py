@@ -7,9 +7,15 @@ superscript 0 is the scalar delta_{i,j} (never stored as a letter).  The
 column determinant of the twisted symbol matrix produces a monic
 polynomial in a central variable u whose coefficients Z_r expand the
 central generators.  expansion_identity checks Z_r against its binomial
-expansion; verify_graded_image checks that loop_weight is bounded on the
-words of Z_r and that substituting centralizer generators for the letters
-sends the top-weight part onto the central generator of matching weight.
+expansion, which sums weighted n x n symbol determinants with
+superscripts nu; the weights of each nu are summed first, so each nu
+costs one determinant, and the check never reads z_polynomial's
+u-expansion.  verify_graded_image checks that loop_weight is bounded on
+the words of Z_r and that substituting centralizer generators for the
+letters sends the top-weight part onto the central generator of matching
+weight; the substituted words are multiplied out by
+enveloping.product_sum, which walks them in sorted order and multiplies
+each shared prefix once.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from .composition import (
     shift_matrix,
     weight_subcompositions,
 )
-from .enveloping import PbwElement, central_element, pbw_algebra
+from .enveloping import central_element, product_sum
 from .linalg import column_determinant
-from .reports import Check, Report
+from .reports import Check, Report, residual_check
 from .sparse import SparseElement, accumulate
 
 
@@ -163,6 +169,8 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     with nu_1 = mu_1, weighting the full n x n symbol determinant with
     superscripts nu by
         prod_i (1 - i)^(mu_i - nu_i) * binom(lam_i - nu_i, lam_i - mu_i).
+    The determinant depends on nu alone, so the weights are first summed
+    over mu and each nu with a nonzero total costs one determinant.
     Identically vanishing symbol words are dropped by the window rule.
     """
     if not lam.is_increasing:
@@ -172,7 +180,7 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     if not 1 <= r <= lam.N:
         raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
     n = lam.n
-    total = FreeElement.zero()
+    weights: dict[tuple, int] = {}
     for mu in weight_subcompositions(lam, r):
         nu_ranges = [range(mu.part(1), mu.part(1) + 1)] + [
             range(0, mu.part(i) + 1) for i in range(2, n + 1)
@@ -184,14 +192,17 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
                 weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu.part(i))
                 if not weight:
                     break
-            if not weight:
-                continue
+            if weight:
+                weights[nu] = weights.get(nu, 0) + weight
+    terms: dict = {}
+    for nu, weight in weights.items():
+        if weight:
             det = column_determinant(
                 [[t_symbol(lam, i, j, nu[j - 1]) for j in range(1, n + 1)]
                  for i in range(1, n + 1)]
             )
-            total = total + det * weight
-    return total
+            accumulate(terms, det.terms.items(), weight)
+    return FreeElement(terms)
 
 
 def loop_weight(word) -> int:
@@ -201,25 +212,11 @@ def loop_weight(word) -> int:
 
 def expansion_identity(lam: Composition, r: int) -> Report:
     """Z_r from the determinant against its direct binomial expansion."""
-    lhs = z_polynomial(lam)[r - 1]
-    rhs = binomial_z_expansion(lam, r)
-    diff = lhs - rhs
-    ok = diff.is_zero()
+    diff = z_polynomial(lam)[r - 1] - binomial_z_expansion(lam, r)
     return Report(
         f"symbol expansion lambda={lam} r={r}",
-        (Check(f"Z_{r} matches its binomial expansion", ok,
-               "" if ok else f"difference has {len(diff.terms)} words"),),
+        (residual_check(f"Z_{r} matches its binomial expansion", diff),),
     )
-
-
-def substitute_word(lam: Composition, word) -> PbwElement:
-    """Image of a word under T[i,j;s+1] -> (-1)^s e[i,j;s], multiplied in order."""
-    alg = pbw_algebra(lam)
-    out = alg.one()
-    for x in word:
-        sign = -1 if (x.s - 1) % 2 else 1
-        out = out * (sign * alg.embed(BasisIndex(x.i, x.j, x.s - 1)))
-    return out
 
 
 def verify_graded_image(lam: Composition, r: int) -> Report:
@@ -227,23 +224,24 @@ def verify_graded_image(lam: Composition, r: int) -> Report:
 
     Every word of Z_r must have loop weight at most m = r - d_r, and the
     weight-m part must map onto (-1)^m times the weight-r central
-    generator under the letter substitution.
+    generator under the letter substitution T[i,j;s+1] -> (-1)^s e[i,j;s].
     """
     Zr = z_polynomial(lam)[r - 1]
     m = r - invariant_degrees(lam)[r - 1]
-    over = [w for w in Zr.terms if loop_weight(w) > m]
-    image = pbw_algebra(lam).zero()
-    for word, c in Zr.terms.items():
-        if loop_weight(word) == m:
-            image = image + c * substitute_word(lam, word)
+    over = FreeElement({w: c for w, c in Zr.terms.items() if loop_weight(w) > m})
+    # the letter signs of a word multiply to (-1)^(its loop weight) = (-1)^m
     sign = -1 if m % 2 else 1
-    target = sign * central_element(lam, r)
-    diff = image - target
+    label = {x: BasisIndex(x.i, x.j, x.s - 1) for word in Zr.terms for x in word}
+    top = {tuple(label[x] for x in word): sign * c
+           for word, c in Zr.terms.items() if loop_weight(word) == m}
+    diff = product_sum(lam, top) - sign * central_element(lam, r)
     checks = (
-        Check(f"loop weight of Z_{r} bounded by {m}", not over,
-              "" if not over else f"{len(over)} words exceed the bound"),
-        Check(f"top-weight image equals ({'-' if sign < 0 else '+'}1)^{m} z_{r}",
-              diff.is_zero(),
-              "" if diff.is_zero() else f"difference has {len(diff.terms)} terms"),
+        Check(f"loop weight of Z_{r} bounded by {m}", over.is_zero(),
+              "" if over.is_zero() else
+              f"{len(over.terms)} words exceed the bound, "
+              f"leading {over.leading_term()!r}"),
+        residual_check(
+            f"top-weight image equals ({'-' if sign < 0 else '+'}1)^{m} z_{r}",
+            diff),
     )
     return Report(f"graded image lambda={lam} r={r}", checks)

@@ -77,6 +77,9 @@ def column_determinant(matrix):
                 expand(col + 1, remaining[:k] + remaining[k + 1:], term, sign)
 
     expand(0, tuple(range(n)), None, False)
+    # expand refers to itself through its closure; breaking that cycle
+    # frees the copy of the matrix now, not at the next cyclic collection
+    del expand
     return total
 
 

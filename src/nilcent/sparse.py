@@ -57,10 +57,12 @@ class SparseElement:
         return self._new({(): c} if c else {})
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return self._scalar(other)
+        # own type first: an isinstance check that fails against Fraction
+        # runs ABCMeta.__instancecheck__, and every ring product comes here
         if isinstance(other, type(self)):
             return other
+        if isinstance(other, Scalar):
+            return self._scalar(other)
         return None
 
     def is_zero(self) -> bool:
@@ -99,19 +101,22 @@ class SparseElement:
         return -self + other
 
     def __mul__(self, other):
+        # elements before scalars, for the reason given in _coerce
+        if isinstance(other, SparseElement):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            times = self._times
+            out: dict = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    accumulate(out, times(m1, m2), c1 * c2)
+            return self._new(out)
         if isinstance(other, Scalar):
             if not other:
                 return self._new({})
             return self._new({m: c * other for m, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        times = self._times
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                accumulate(out, times(m1, m2), c1 * c2)
-        return self._new(out)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):

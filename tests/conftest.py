@@ -6,6 +6,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from nilcent.centralizer import basis_list
+from nilcent import freealg
 from nilcent.composition import monotone_compositions
 from nilcent.enveloping import pbw_algebra
 from nilcent.freealg import FreeElement
@@ -22,6 +23,13 @@ SMALL_COMPOSITIONS = tuple(
 def embed(lam, idx):
     """The generator e[idx] of the enveloping algebra for lam."""
     return pbw_algebra(lam).embed(idx)
+
+
+def plant_z(monkeypatch, lam, r, extra):
+    """Make freealg.z_polynomial(lam) return Z_r + extra in place of Z_r."""
+    zs = freealg.z_polynomial(lam)
+    planted = zs[:r - 1] + (zs[r - 1] + extra,) + zs[r:]
+    monkeypatch.setattr(freealg, "z_polynomial", lambda _: planted)
 
 
 def compositions(max_total: int = 4, increasing_only: bool = False):

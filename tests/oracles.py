@@ -7,6 +7,7 @@ check on random instances.
 
 import itertools
 import random
+from math import comb
 from typing import NamedTuple
 
 from nilcent.centralizer import (
@@ -16,8 +17,9 @@ from nilcent.centralizer import (
     structure_constants,
     unit_support,
 )
-from nilcent.enveloping import PbwElement
-from nilcent.freealg import FreeElement
+from nilcent.composition import weight_subcompositions
+from nilcent.enveloping import PbwElement, pbw_algebra
+from nilcent.freealg import FreeElement, t_symbol
 from nilcent.invariants import Polynomial
 from nilcent.linalg import column_determinant
 from nilcent.reports import Check, Report
@@ -116,6 +118,47 @@ def adjoint_action(lam, x, p) -> Polynomial:
         for t, v in enumerate(mono)
         for z, cz in sc.bracket(x, v)
     )))
+
+
+def substitute_word(lam, word) -> PbwElement:
+    """Image of a word under T[i,j;s+1] -> (-1)^s e[i,j;s], multiplied in order."""
+    alg = pbw_algebra(lam)
+    out = alg.one()
+    for x in word:
+        sign = -1 if (x.s - 1) % 2 else 1
+        out = out * (sign * alg.embed(BasisIndex(x.i, x.j, x.s - 1)))
+    return out
+
+
+def binomial_z_expansion_by_pairs(lam, r: int) -> FreeElement:
+    """Z_r as one weighted n x n symbol determinant per pair (mu, nu).
+
+    The reference for freealg.binomial_z_expansion, which builds one
+    determinant per nu: sums over subcompositions mu of weight r and
+    componentwise nu <= mu with nu_1 = mu_1, with weight
+        prod_i (1 - i)^(mu_i - nu_i) * binom(lam_i - nu_i, lam_i - mu_i).
+    """
+    n = lam.n
+    total = FreeElement.zero()
+    for mu in weight_subcompositions(lam, r):
+        nu_ranges = [range(mu.part(1), mu.part(1) + 1)] + [
+            range(0, mu.part(i) + 1) for i in range(2, n + 1)
+        ]
+        for nu in itertools.product(*nu_ranges):
+            weight = 1
+            for i in range(1, n + 1):
+                weight *= (1 - i) ** (mu.part(i) - nu[i - 1])
+                weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu.part(i))
+                if not weight:
+                    break
+            if not weight:
+                continue
+            det = column_determinant(
+                [[t_symbol(lam, i, j, nu[j - 1]) for j in range(1, n + 1)]
+                 for i in range(1, n + 1)]
+            )
+            total = total + det * weight
+    return total
 
 
 class DualIndex(NamedTuple):

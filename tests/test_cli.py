@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from nilcent import cli
-from nilcent.centralizer import structure_constants
+from nilcent import cli, enveloping, invariants
+from nilcent.centralizer import BasisIndex, structure_constants
 from nilcent.composition import Composition
 from nilcent.enveloping import central_element, pbw_algebra, pbw_to_json_obj
-from nilcent.freealg import z_polynomial
-from nilcent.invariants import elementary_invariant
+from nilcent.freealg import FreeElement, TSymbol, z_polynomial
+from nilcent.invariants import Polynomial, elementary_invariant
 from nilcent.reports import Check, Report
+
+from conftest import plant_z
 
 
 def run(capsys, *argv):
@@ -195,6 +197,41 @@ class TestSweep:
         for cache in (pbw_algebra, structure_constants,
                       elementary_invariant, z_polynomial):
             assert cache.cache_info().currsize == 0, cache
+
+    def failed_rows(self, monkeypatch, module, name, extra):
+        """Rows of 1,2 that fail once module.name adds extra at r = 2."""
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda lam, r: (
+            real(lam, r) + extra if r == 2 else real(lam, r)))
+        return [row for row in cli.sweep_composition(Composition((1, 2)))
+                if not row["ok"]]
+
+    def test_failed_centrality_row_names_a_witness(self, monkeypatch):
+        lam = Composition((1, 2))
+        alg = pbw_algebra(lam)
+        extra = 2 * alg.embed((1, 1, 0)) * alg.embed((1, 2, 1))
+        rows = self.failed_rows(monkeypatch, enveloping, "central_element", extra)
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("centrality", 2, "1 terms, 5 generators; [z_2, e[1,1;0]] = 0: "
+             "residual has 1 terms, leading -2*e[1,1;0]*e[1,2;1]")]
+
+    def test_failed_invariance_row_names_a_witness(self, monkeypatch):
+        extra = Polynomial({(BasisIndex(1, 1, 0), BasisIndex(1, 2, 1)): 2})
+        rows = self.failed_rows(monkeypatch, invariants, "elementary_invariant",
+                                extra)
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("invariance", 2, "ad e[1,1;0] kills x_2: "
+             "residual has 1 terms, leading 2*e[1,1;0]*e[1,2;1]")]
+
+    def test_failed_symbol_rows_name_a_witness(self, monkeypatch):
+        lam = Composition((1, 2))
+        plant_z(monkeypatch, lam, 3, 5 * FreeElement.letter(TSymbol(1, 2, 2)))
+        rows = [row for row in cli.sweep_composition(lam) if not row["ok"]]
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("symbol_expansion", 3, "Z_3 matches its binomial expansion: "
+             "residual has 1 terms, leading 5*T[1,2;2]"),
+            ("graded_image", 3, "top-weight image equals (-1)^1 z_3: "
+             "residual has 1 terms, leading -5*e[1,2;1]")]
 
     def test_pool_matches_serial(self, capsys):
         serial = run(capsys, "sweep", "--max-N", "3", "--jobs", "1", "--json")

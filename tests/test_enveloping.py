@@ -15,6 +15,7 @@ from nilcent.enveloping import (
     filtration_degree,
     pbw_algebra,
     pbw_to_json_obj,
+    product_sum,
     verify_central,
 )
 
@@ -119,6 +120,56 @@ class TestInsertion:
                                   max_size=5).map(tuple))
         got = math.prod((alg.embed(alg.basis[t]) for t in word), start=alg.one())
         assert got.terms == transposition_normal_form(alg, word)
+
+
+def word_sums(lam):
+    """Random {word of BasisIndex: c}, with prefixes of its own words.
+
+    Words are unsorted and may repeat letters; each drawn word also brings
+    one of its prefixes, so shared paths, the empty word and words that
+    end where another goes on are all common.
+    """
+    word = st.lists(st.sampled_from(basis_list(lam)), max_size=4).map(tuple)
+
+    @st.composite
+    def build(draw):
+        ws = draw(st.lists(word, max_size=5))
+        ws += [w[:draw(st.integers(0, len(w)))] for w in ws]
+        return {w: draw(st.integers(-3, 3)) for w in ws}
+
+    return build()
+
+
+def generator_products(lam, terms):
+    """sum c * e_x1 ... e_xk, one public product per letter."""
+    alg = pbw_algebra(lam)
+    return sum((c * math.prod(map(alg.embed, w), start=alg.one())
+                for w, c in terms.items()), alg.zero())
+
+
+class TestProductSum:
+    @pytest.mark.parametrize("lam", [Composition(p) for p in (
+        (1, 2), (2, 2), (1, 1, 2), (1, 1, 1, 1))], ids=str)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_matches_generator_products(self, lam, data):
+        terms = data.draw(word_sums(lam))
+        assert product_sum(lam, terms) == generator_products(lam, terms)
+
+    def test_shared_prefixes_and_repeats(self):
+        a, b, c = BasisIndex(2, 1, 0), BasisIndex(1, 2, 1), BasisIndex(1, 1, 0)
+        terms = {(): 5, (a,): 1, (a, b): -2, (a, b, a): 3, (b, a): 1,
+                 (a, a, c): 4, (c, b, b): -1}
+        assert product_sum(LAM12, terms) == generator_products(LAM12, terms)
+
+    def test_empty_and_zero(self):
+        assert product_sum(LAM12, {}).is_zero()
+        assert product_sum(LAM12, {(): 3}) == 3
+        assert product_sum(LAM12, {(BasisIndex(1, 1, 0),): 0}).is_zero()
+
+    def test_inadmissible_raises(self):
+        with pytest.raises(ValueError):
+            product_sum(LAM12, {(BasisIndex(1, 1, 0), BasisIndex(1, 2, 0)): 1})
 
 
 class TestCommutator:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -15,15 +16,20 @@ from nilcent.freealg import (
     column_determinant,
     expansion_identity,
     loop_weight,
-    substitute_word,
     t_entry_polynomial,
     t_symbol,
     verify_graded_image,
     z_polynomial,
 )
 
-from conftest import embed, free_elements
-from oracles import left_minor_cdets, perm_sign, verify_left_minor_vanishing
+from conftest import embed, free_elements, plant_z
+from oracles import (
+    binomial_z_expansion_by_pairs,
+    left_minor_cdets,
+    perm_sign,
+    substitute_word,
+    verify_left_minor_vanishing,
+)
 
 LAM12 = Composition((1, 2))
 LAM11 = Composition((1, 1))
@@ -106,6 +112,15 @@ class TestColumnDeterminant:
                         prod = prod * m[p[col]][col]
                     leibniz = leibniz + prod
                 assert column_determinant(m) == leibniz
+
+    def test_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            column_determinant([[1, 2], [3, 4]])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_equal_integer_columns_vanish(self):
         m = [[2, 2, 5], [3, 3, -1], [-4, -4, 7]]
@@ -235,6 +250,13 @@ class TestExpansion:
                     rep = expansion_identity(lam, r)
                     assert rep.ok, rep.failures()
 
+    def test_matches_pair_oracle(self):
+        for total in range(1, 6):
+            for lam in increasing(total):
+                for r in range(1, total + 1):
+                    assert binomial_z_expansion(lam, r) == (
+                        binomial_z_expansion_by_pairs(lam, r))
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             binomial_z_expansion(LAM12, 4)
@@ -283,6 +305,32 @@ class TestGradedImage:
                 for r in range(1, total + 1):
                     rep = verify_graded_image(lam, r)
                     assert rep.ok, rep.failures()
+
+
+class TestWitnesses:
+    """A word added to Z_3 of 1,2 (loop-weight bound 1) is named by each
+    check it breaks."""
+
+    def test_top_weight_word(self, monkeypatch):
+        plant_z(monkeypatch, LAM12, 3, 5 * T(1, 2, 2))
+        exp = expansion_identity(LAM12, 3)
+        assert [c.detail for c in exp.failures()] == [
+            "residual has 1 terms, leading 5*T[1,2;2]"]
+        loop, image = verify_graded_image(LAM12, 3).checks
+        assert loop.passed
+        assert not image.passed
+        assert image.detail == "residual has 1 terms, leading -5*e[1,2;1]"
+
+    def test_over_weight_word(self, monkeypatch):
+        plant_z(monkeypatch, LAM12, 3, 7 * T(2, 2, 2) * T(2, 2, 2) + T(1, 1, 1))
+        exp = expansion_identity(LAM12, 3)
+        assert [c.detail for c in exp.failures()] == [
+            "residual has 2 terms, leading 7*T[2,2;2]*T[2,2;2]"]
+        loop, image = verify_graded_image(LAM12, 3).checks
+        assert not loop.passed
+        assert loop.detail == ("1 words exceed the bound, "
+                               "leading 7*T[2,2;2]*T[2,2;2]")
+        assert image.passed
 
 
 class TestLeftMinorVanishing:
