@@ -23,7 +23,7 @@ from .composition import (
     invariant_degrees,
     min_length,
     monotone_compositions,
-    shift_matrix,
+    shift,
 )
 from .enveloping import (
     PbwElement,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .composition import Composition, shift_matrix
+from .composition import Composition, shift
 from .linalg import rational_rank
 from .reports import Check, Report
 from .sparse import SparseElement, accumulate
@@ -58,7 +58,6 @@ def matrix_commutator(a: UnitMatrix, b: UnitMatrix) -> UnitMatrix:
     return a * b - b * a
 
 
-@lru_cache(maxsize=None)
 def nilpotent_matrix(lam: Composition) -> UnitMatrix:
     """The nilpotent with one Jordan block of size lam_i per row."""
     units = {}
@@ -72,7 +71,7 @@ def is_admissible(lam: Composition, idx: BasisIndex) -> bool:
     i, j, r = idx
     if not (1 <= i <= lam.n and 1 <= j <= lam.n):
         return False
-    return shift_matrix(lam).entry(i, j) <= r < lam.part(j)
+    return shift(lam, i, j) <= r < lam.part(j)
 
 
 def unit_support(lam: Composition, idx: BasisIndex) -> tuple[tuple[int, int], ...]:
@@ -89,15 +88,14 @@ def basis_element(lam: Composition, idx: BasisIndex) -> UnitMatrix:
     return UnitMatrix(dict.fromkeys(unit_support(lam, idx), 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
     """All admissible labels in lexicographic (i, j, r) order."""
-    s = shift_matrix(lam)
     out = []
     for i in range(1, lam.n + 1):
         for j in range(1, lam.n + 1):
             out.extend(
-                BasisIndex(i, j, r) for r in range(s.entry(i, j), lam.part(j))
+                BasisIndex(i, j, r) for r in range(shift(lam, i, j), lam.part(j))
             )
     return tuple(out)
 
@@ -114,7 +112,7 @@ class StructureConstants:
         return self.table.get((x, y), ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def structure_constants(lam: Composition) -> StructureConstants:
     """Every bracket of two basis elements, from the closed formula."""
     basis = basis_list(lam)

@@ -5,8 +5,8 @@ monotone because the box numbering of the associated diagram (and hence
 every basis label downstream) depends on the order of the parts.  The
 module provides the degree sequence of the generating invariants, the
 enumeration of subcompositions of a given weight with as few nonzero parts
-as possible, and the shift matrix that controls which degrees are
-admissible for each pair of rows.
+as possible, and the shift s_{i,j} = lam_j - min(lam_i, lam_j) that
+bounds from below the degrees admissible for the row pair (i, j).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class SubComposition:
         return ",".join(str(p) for p in self.parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def invariant_degrees(lam: Composition) -> tuple[int, ...]:
     """Degree sequence (d_1, ..., d_N) of the N generating invariants.
 
@@ -174,7 +174,7 @@ def weight_subcompositions(lam: Composition, r: int):
     yield from rec(0, r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_TOTAL)
 def enumerate_mu(lam: Composition, r: int) -> tuple[SubComposition, ...]:
     """Weight-r subcompositions with the minimal number of nonzero parts.
 
@@ -187,29 +187,9 @@ def enumerate_mu(lam: Composition, r: int) -> tuple[SubComposition, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class ShiftMatrix:
-    """The n x n matrix s_{i,j} = lam_j - min(lam_i, lam_j)."""
-
-    lam: Composition
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> int:
-        """1-based access."""
-        return self.entries[i - 1][j - 1]
-
-
-@lru_cache(maxsize=None)
-def shift_matrix(lam: Composition) -> ShiftMatrix:
-    parts = lam.parts
-    entries = tuple(
-        tuple(q - min(p, q) for q in parts) for p in parts
-    )
-    return ShiftMatrix(lam, entries)
+def shift(lam: Composition, i: int, j: int) -> int:
+    """Entry s_{i,j} = lam_j - min(lam_i, lam_j) of the shift matrix, 1-based."""
+    return lam.part(j) - min(lam.part(i), lam.part(j))
 
 
 def factors_admissible(lam: Composition, mu: SubComposition) -> bool:
@@ -221,8 +201,7 @@ def factors_admissible(lam: Composition, mu: SubComposition) -> bool:
     some permutation, so this covers every summand.
     """
     supp = mu.support()
-    s = shift_matrix(lam)
-    return all(mu.part(b) > s.entry(a, b) for a in supp for b in supp)
+    return all(mu.part(b) > shift(lam, a, b) for a in supp for b in supp)
 
 
 def monotone_compositions(total: int) -> list[Composition]:

@@ -8,9 +8,10 @@ and z behind, a word one letter shorter with one letter out of place,
 which is straightened the same way.  Word length falls at each level, so
 the reduction terminates, and by the diamond lemma its result does not
 depend on the order of the rewriting.  Insertions into unsorted words
-are memoised per word inside a per-composition context.  Basis labels
-are interned as small integers internally; all public interfaces speak
-BasisIndex.
+are memoised per word inside a per-composition context, pbw_algebra(lam),
+which holds the memo and the central elements built so far; it lives
+until another composition is asked for.  Basis labels are interned as
+small integers internally; all public interfaces speak BasisIndex.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class PbwAlgebra:
         return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def pbw_algebra(lam: Composition) -> PbwAlgebra:
     return PbwAlgebra(lam)
 

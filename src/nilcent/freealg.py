@@ -29,7 +29,7 @@ from .centralizer import BasisIndex
 from .composition import (
     Composition,
     invariant_degrees,
-    shift_matrix,
+    shift,
     weight_subcompositions,
 )
 from .enveloping import central_element, product_sum
@@ -84,7 +84,7 @@ def t_symbol(lam: Composition, i: int, j: int, s: int) -> FreeElement:
         raise ValueError(f"superscript must be nonnegative, got {s}")
     if s == 0:
         return FreeElement.scalar(1 if i == j else 0)
-    if s <= shift_matrix(lam).entry(i, j) or s > lam.part(j):
+    if s <= shift(lam, i, j) or s > lam.part(j):
         return FreeElement.zero()
     return FreeElement.letter(TSymbol(i, j, s))
 
@@ -138,7 +138,7 @@ def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
     return UPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def z_polynomial(lam: Composition) -> tuple[FreeElement, ...]:
     """Coefficients (Z_1, ..., Z_N) of the column determinant in u.
 

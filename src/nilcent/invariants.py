@@ -15,7 +15,7 @@ from bisect import insort
 from functools import lru_cache
 
 from .centralizer import BasisIndex, basis_list, structure_constants
-from .composition import Composition, enumerate_mu
+from .composition import MAX_TOTAL, Composition, enumerate_mu
 from .linalg import column_determinant, format_scalar
 from .reports import Report, residual_check
 from .sparse import SparseElement, accumulate, letter_positions
@@ -112,7 +112,7 @@ def top_symbol(a) -> Polynomial:
     })
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_TOTAL)
 def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     """Degree d_r invariant: commutative determinant sum over enumerate_mu.
 

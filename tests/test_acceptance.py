@@ -41,9 +41,6 @@ def sweep_rows():
     rows = []
     for lam in ALL_LAMS:
         rows.extend(sweep_composition(lam, seed=0))
-        # each composition gets a fresh rewriting engine; the memoized
-        # normal forms for N=6 would otherwise accumulate across 44 runs
-        pbw_algebra.cache_clear()
     return rows
 
 
@@ -210,7 +207,6 @@ def test_9_structural_sanity(capsys):
             jacobi_triples += 1
             if acc:
                 failures.append(f"jacobi {lam} {x} {y} {z}")
-        pbw_algebra.cache_clear()
     if jacobi_triples < 1000:
         failures.append("jacobi sweep too small")
 

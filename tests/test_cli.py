@@ -1,16 +1,20 @@
 import argparse
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
 from nilcent import cli, enveloping, invariants
-from nilcent.centralizer import BasisIndex, structure_constants
-from nilcent.composition import Composition
+from nilcent import slice as slice_module
+from nilcent.centralizer import BasisIndex, basis_list, structure_constants
+from nilcent.composition import Composition, invariant_degrees
 from nilcent.enveloping import central_element, pbw_algebra, pbw_to_json_obj
 from nilcent.freealg import FreeElement, TSymbol, z_polynomial
-from nilcent.invariants import Polynomial, elementary_invariant
+from nilcent.invariants import Polynomial
 from nilcent.reports import Check, Report
+from nilcent.slice import PVar
 
 from conftest import plant_z
 
@@ -19,6 +23,28 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Run the sweep's process pool in process; the list of pool sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def sweep(max_n, as_json=False):
@@ -192,11 +218,19 @@ class TestSweep:
         assert all(set(row) == {"check", "lambda", "r", "ok", "detail"}
                    for row in obj["rows"])
 
-    def test_serial_sweep_drops_each_pbw_algebra(self):
-        assert sweep(3)[0] == 0
-        for cache in (pbw_algebra, structure_constants,
-                      elementary_invariant, z_polynomial):
-            assert cache.cache_info().currsize == 0, cache
+    def test_next_composition_drops_the_last_ones_state(self):
+        first, last = Composition((1, 2)), Composition((2, 2))
+        cli.sweep_composition(first)
+        algebra = weakref.ref(pbw_algebra(first))
+        cli.sweep_composition(last)
+        gc.collect()
+        assert algebra() is None
+        for cache in (pbw_algebra, structure_constants, z_polynomial,
+                      basis_list, invariant_degrees):
+            assert cache.cache_info().currsize == 1, cache
+            hits = cache.cache_info().hits
+            cache(last)
+            assert cache.cache_info().hits == hits + 1, cache
 
     def failed_rows(self, monkeypatch, module, name, extra):
         """Rows of 1,2 that fail once module.name adds extra at r = 2."""
@@ -212,8 +246,10 @@ class TestSweep:
         extra = 2 * alg.embed((1, 1, 0)) * alg.embed((1, 2, 1))
         rows = self.failed_rows(monkeypatch, enveloping, "central_element", extra)
         assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
-            ("centrality", 2, "1 terms, 5 generators; [z_2, e[1,1;0]] = 0: "
-             "residual has 1 terms, leading -2*e[1,1;0]*e[1,2;1]")]
+            ("centrality", 2, "2 terms, 5 generators; [z_2, e[1,1;0]] = 0: "
+             "residual has 1 terms, leading -2*e[1,1;0]*e[1,2;1]"),
+            ("filtration_degree", 2, "expected 1"),
+            ("top_symbol", 2, "1 monomials")]
 
     def test_failed_invariance_row_names_a_witness(self, monkeypatch):
         extra = Polynomial({(BasisIndex(1, 1, 0), BasisIndex(1, 2, 1)): 2})
@@ -222,6 +258,14 @@ class TestSweep:
         assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
             ("invariance", 2, "ad e[1,1;0] kills x_2: "
              "residual has 1 terms, leading 2*e[1,1;0]*e[1,2;1]")]
+
+    def test_failed_slice_rows_name_a_witness(self, monkeypatch):
+        # the prediction for r = 2 doubles, from p[2,1] to 2*p[2,1]
+        rows = self.failed_rows(monkeypatch, slice_module, "expected_restriction",
+                                Polynomial.variable(PVar(2, 1)))
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("slice_restriction", 2, "got p[2,1]"),
+            ("slice_bijection", None, "restrict(x_2) = 2*p[2,1]: got p[2,1]")]
 
     def test_failed_symbol_rows_name_a_witness(self, monkeypatch):
         lam = Composition((1, 2))
@@ -239,28 +283,19 @@ class TestSweep:
         assert serial[0] == pooled[0] == 0
         assert serial[1] == pooled[1]
 
-    def test_pool_size_is_capped(self, capsys, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size_is_capped(self, capsys, monkeypatch, pool_sizes):
         for cpus in (64, 2, 1):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
             rc, out, _ = run(capsys, "sweep", "--max-N", "2", "--jobs", "10000")
             assert rc == 0 and "SWEEP OK: 3 compositions" in out
-        assert sizes == [3, 2]
+        assert pool_sizes == [3, 2]
+
+    def test_pool_times_each_composition(self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        rc, _, err = run(capsys, "sweep", "--max-N", "2", "--jobs", "2")
+        assert rc == 0 and pool_sizes == [2]
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "lambda=1", "lambda=1,1", "lambda=2", "sweep total"]
 
     def test_one_task_runs_serially(self, capsys):
         rc, _, err = run(capsys, "sweep", "--max-N", "1", "--jobs", "2")

@@ -12,7 +12,7 @@ from nilcent.composition import (
     invariant_degrees,
     min_length,
     monotone_compositions,
-    shift_matrix,
+    shift,
     weight_subcompositions,
 )
 
@@ -148,33 +148,34 @@ class TestWeightMinusLengthMonotonicity:
 
 
 class TestShiftMatrix:
+    @staticmethod
+    def matrix(parts):
+        lam = Composition(parts)
+        return tuple(tuple(shift(lam, i, j) for j in range(1, lam.n + 1))
+                     for i in range(1, lam.n + 1))
+
     def test_examples(self):
-        assert shift_matrix(Composition((1, 2))).entries == ((0, 1), (0, 0))
-        assert shift_matrix(Composition((3, 3))).entries == ((0, 0), (0, 0))
-        assert shift_matrix(Composition((2, 3, 4))).entries == (
-            (0, 1, 2), (0, 0, 1), (0, 0, 0))
+        assert self.matrix((1, 2)) == ((0, 1), (0, 0))
+        assert self.matrix((3, 3)) == ((0, 0), (0, 0))
+        assert self.matrix((2, 3, 4)) == ((0, 1, 2), (0, 0, 1), (0, 0, 0))
+        assert self.matrix((4, 3, 2)) == ((0, 0, 0), (1, 0, 0), (2, 1, 0))
 
     def test_structure(self):
         for lam in all_compositions(6):
-            s = shift_matrix(lam)
-            n = s.n
-            for i in range(1, n + 1):
-                assert s.entry(i, i) == 0
-                for j in range(1, n + 1):
-                    assert s.entry(i, j) == lam.part(j) - min(lam.part(i), lam.part(j))
+            n = lam.n
+            assert all(shift(lam, i, i) == 0 for i in range(1, n + 1))
             if lam.is_increasing:
                 assert all(
-                    s.entry(i, j) == 0
+                    shift(lam, i, j) == 0
                     for i in range(1, n + 1) for j in range(1, i)
                 )
 
     def test_additivity_on_aligned_triples(self):
         for lam in all_compositions(6):
-            s = shift_matrix(lam)
-            n = s.n
+            n = lam.n
             for i, j, k in itertools.product(range(1, n + 1), repeat=3):
                 if abs(i - j) + abs(j - k) == abs(i - k):
-                    assert s.entry(i, j) + s.entry(j, k) == s.entry(i, k)
+                    assert shift(lam, i, j) + shift(lam, j, k) == shift(lam, i, k)
 
 
 class TestAdmissibilityInequality:

@@ -1,13 +1,16 @@
-"""Every module-level import in the package is used by its module, and
-every top-level function or class, and every method of one, is used
-somewhere in the package.
+"""Every module-level import in the package is used by its module, every
+top-level function or class, and every method of one, is used somewhere
+in the package, and every cache in the package is bounded.
 
 Package re-exports in __init__.py and __future__ imports are exempt, and
 a re-export does not count as a use: code that only tests call belongs in
-tests/oracles.py.
+tests/oracles.py.  A cache holds the state of one composition, so its
+bound says how long that state lives; an unbounded one keeps the state of
+every composition ever asked for.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -88,3 +91,56 @@ def test_the_check_sees_an_unreferenced_method():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions([p.read_text() for p in MODULES]) == []
+
+
+def unbounded_caches(source: str, namespace: dict) -> list[str]:
+    """Functions under an lru_cache or cache decorator that does not pass
+    maxsize= a positive int, written as a literal or as a name that
+    namespace binds to one."""
+    def bounded(decorator) -> bool:
+        if not isinstance(decorator, ast.Call):
+            return False
+        for kw in decorator.keywords:
+            if kw.arg == "maxsize":
+                value = kw.value
+                if isinstance(value, ast.Constant):
+                    value = value.value
+                elif isinstance(value, ast.Name):
+                    value = namespace.get(value.id)
+                return (isinstance(value, int) and not isinstance(value, bool)
+                        and value > 0)
+        return False
+
+    def name(decorator) -> str:
+        node = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(node, "attr", getattr(node, "id", ""))
+
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(name(d) in ("lru_cache", "cache") and not bounded(d)
+                    for d in node.decorator_list)]
+
+
+def test_the_check_sees_an_unbounded_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n\n"
+              "LIMIT = 4\n\n\n"
+              "@lru_cache(maxsize=1)\ndef literal(x):\n    return x\n\n\n"
+              "@lru_cache(maxsize=LIMIT)\ndef constant(x):\n    return x\n\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef none(x):\n    return x\n\n\n"
+              "@lru_cache\ndef bare(x):\n    return x\n\n\n"
+              "@lru_cache()\ndef default(x):\n    return x\n\n\n"
+              "@cache\ndef plain(x):\n    return x\n\n\n"
+              "@lru_cache(maxsize=0)\ndef zero(x):\n    return x\n\n\n"
+              "@lru_cache(maxsize=True)\ndef flag(x):\n    return x\n\n\n"
+              "@lru_cache(maxsize=UNKNOWN)\ndef unbound(x):\n    return x\n")
+    assert unbounded_caches(source, {"LIMIT": 4}) == [
+        "none", "bare", "default", "plain", "zero", "flag", "unbound"]
+
+
+def test_every_cache_is_bounded():
+    unbounded = [
+        f"{path.stem}.{name}" for path in MODULES
+        for name in unbounded_caches(
+            path.read_text(),
+            vars(importlib.import_module(f"nilcent.{path.stem}")))]
+    assert unbounded == []
