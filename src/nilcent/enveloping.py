@@ -3,15 +3,19 @@
 Elements are finite maps from weakly increasing words in the fixed basis
 order to exact scalars.  Products are straightened by one-letter
 insertion: a letter z put between a sorted head and tail moves to its
-place in one step, and each letter x it crosses leaves the bracket of x
-and z behind, a word one letter shorter with one letter out of place,
-which is straightened the same way.  Word length falls at each level, so
-the reduction terminates, and by the diamond lemma its result does not
-depend on the order of the rewriting.  Insertions into unsorted words
-are memoised per word inside a per-composition context, pbw_algebra(lam),
-which holds the memo and the central elements built so far; it lives
-until another composition is asked for.  Basis labels are interned as
-small integers internally; all public interfaces speak BasisIndex.
+place in one step, and each letter x it crosses leaves sign * [x, z] in
+the place of x, with sign +1 if x stood left of z and -1 if it stood
+right of it.  Each such term is a word one letter shorter with one
+letter out of place, which is straightened the same way.  Word length
+falls at each level, so the reduction terminates, and by the diamond
+lemma its result does not depend on the order of the rewriting.  The
+centrality check applies ad e as a derivation through
+sparse.derivation_images and puts each bracket term back in order by the
+same insertion.  Insertions into unsorted words are memoised per word
+inside a per-composition context, pbw_algebra(lam), which holds the memo
+and the central elements built so far; it lives until another
+composition is asked for.  Basis labels are interned as small integers
+internally; all public interfaces speak BasisIndex.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .composition import (
 )
 from .linalg import column_determinant, format_scalar
 from .reports import Report, residual_check
-from .sparse import SparseElement, accumulate, letter_positions
+from .sparse import SparseElement, accumulate, derivation_images
 
 
 class PbwAlgebra:
@@ -40,23 +44,20 @@ class PbwAlgebra:
         self.basis = basis_list(lam)
         self.index_of = {idx: t for t, idx in enumerate(self.basis)}
         # brackets by their second argument: [x, y] is brackets_with[y][x]
-        brackets_with: dict[int, dict] = {t: {} for t in range(len(self.basis))}
+        brackets_with: list[dict] = [{} for _ in self.basis]
         for (x, y), terms in structure_constants(lam).table.items():
             brackets_with[self.index_of[y]][self.index_of[x]] = tuple(
                 (self.index_of[z], c) for z, c in terms
             )
         self._brackets_with = brackets_with
         self._nf_memo: dict[tuple, dict] = {}
-        self._central: dict[int, "PbwElement"] = {}
+        self._central: dict[int, dict] = {}
 
     def zero(self) -> "PbwElement":
         return PbwElement(self, {})
 
     def scalar(self, c) -> "PbwElement":
         return PbwElement(self, {(): c} if c else {})
-
-    def one(self) -> "PbwElement":
-        return self.scalar(1)
 
     def embed(self, idx) -> "PbwElement":
         t = self.index_of.get(BasisIndex(*idx))
@@ -90,27 +91,23 @@ class PbwAlgebra:
         result = self._nf_memo.get(word)
         if result is not None:
             return result
+        s, h = head + tail, len(head)
         if head and head[-1] > z:
-            # x z = z x + [x, z] for every x of head above z
             p = bisect_right(head, z)
-            result = {head[:p] + (z,) + head[p:] + tail: 1}
-            col = self._brackets_with[z]
-            for q in range(p, len(head)):
-                terms = col.get(head[q])
-                if terms:
-                    left, right = head[:q], head[q + 1:] + tail
-                    for w, c in terms:
-                        accumulate(result, self._insert(left, w, right).items(), c)
+            crossed, sign = range(p, h), 1
         else:
-            # z y = y z + [z, y] for every y of tail below z
-            p = bisect_left(tail, z)
-            result = {head + tail[:p] + (z,) + tail[p:]: 1}
-            for j in range(p):
-                terms = self._brackets_with[tail[j]].get(z)
-                if terms:
-                    left, right = head + tail[:j], tail[j + 1:]
-                    for w, c in terms:
-                        accumulate(result, self._insert(left, w, right).items(), c)
+            p = h + bisect_left(tail, z)
+            crossed, sign = range(h, p), -1
+        # x z = z x + [x, z] left of z, and z x = x z - [x, z] right of it
+        result = {s[:p] + (z,) + s[p:]: 1}
+        col = self._brackets_with[z]
+        for q in crossed:
+            terms = col.get(s[q])
+            if terms:
+                left, right = s[:q], s[q + 1:]
+                for w, c in terms:
+                    accumulate(result, self._insert(left, w, right).items(),
+                               sign * c)
         self._nf_memo[word] = result
         return result
 
@@ -167,30 +164,14 @@ class PbwElement(SparseElement):
 def basis_commutators(a: PbwElement):
     """Yield (idx, [a, e_idx]) for every basis label, in basis_list order.
 
-    [x_1...x_k, y] = sum_t x_1...[x_t, y]...x_k, so each bracket term is
-    one letter put back between the sorted head and tail of a word of a.
-    The words of a are indexed by letter once, and only letters that
-    occur in them are visited.
+    [x_1...x_k, y] = sum_t x_1...[x_t, y]...x_k, so ad y acts as a
+    derivation whose bracket terms are put back in order by one-letter
+    insertion.
     """
     alg = a.algebra
-    insert = alg._insert
-    index = letter_positions(a.terms)
-    for y, idx in enumerate(alg.basis):
-        col = alg._brackets_with[y]
-        out: dict = {}
-        for x, places in index.items():
-            terms = col.get(x)
-            if not terms:
-                continue
-            for head, tail, c in places:
-                for w, cw in terms:
-                    if (not head or head[-1] <= w) and (not tail or w <= tail[0]):
-                        word = head + (w,) + tail
-                        out[word] = out.get(word, 0) + c * cw
-                    else:
-                        for word, cm in insert(head, w, tail).items():
-                            out[word] = out.get(word, 0) + c * cw * cm
-        yield idx, PbwElement(alg, {m: c for m, c in out.items() if c})
+    derivations = ((idx, col.get) for idx, col in zip(alg.basis, alg._brackets_with))
+    for idx, terms in derivation_images(a.terms, derivations, alg._insert):
+        yield idx, PbwElement(alg, terms)
 
 
 def product_sum(lam: Composition, terms: dict) -> PbwElement:
@@ -260,13 +241,13 @@ def central_element(lam: Composition, r: int) -> PbwElement:
     if not 1 <= r <= lam.N:
         raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
     alg = pbw_algebra(lam)
-    cached = alg._central.get(r)
-    if cached is None:
+    terms = alg._central.get(r)
+    if terms is None:
         total = alg.zero()
         for mu in enumerate_mu(lam, r):
             total = total + cdet_mu(lam, mu)
-        alg._central[r] = cached = total
-    return cached
+        alg._central[r] = terms = total.terms
+    return PbwElement(alg, terms)
 
 
 def verify_central(lam: Composition, r: int) -> Report:

@@ -4,21 +4,22 @@ The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  The adjoint action extends the bracket as a
 derivation; adjoint_actions applies that of every basis generator to one
-polynomial, and verify_invariant checks that each one kills an
-elementary invariant.
+polynomial by the derivation walk of sparse.derivation_images, the one
+the centrality check runs in the enveloping algebra, and
+verify_invariant checks that each one kills an elementary invariant.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import insort
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .centralizer import BasisIndex, basis_list, structure_constants
 from .composition import MAX_TOTAL, Composition, enumerate_mu
 from .linalg import column_determinant, format_scalar
 from .reports import Report, residual_check
-from .sparse import SparseElement, accumulate, letter_positions
+from .sparse import SparseElement, accumulate, derivation_images
 
 
 class Polynomial(SparseElement):
@@ -42,16 +43,8 @@ class Polynomial(SparseElement):
     def variable(cls, v) -> "Polynomial":
         return cls({(v,): 1})
 
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(len(m) for m in self.terms)
-
     def variables(self) -> set:
         return {v for m in self.terms for v in m}
-
-    def coefficient(self, mono) -> object:
-        return self.terms.get(tuple(sorted(mono)), 0)
 
     def evaluate(self, assignment: dict):
         """Value at a point given as a total map from variables to scalars."""
@@ -136,24 +129,20 @@ def adjoint_actions(lam: Composition, p: Polynomial):
     """Yield (idx, ad e_idx . p) for every basis label, in basis_list order.
 
     ad x is the derivation extending v -> [x, v] on variables: each
-    bracket term replaces one variable of a monomial.  The monomials of p
-    are indexed by variable once.
+    bracket term replaces one variable of a monomial, which is sorted
+    back into place.
     """
     sc = structure_constants(lam)
-    index = letter_positions(p.terms)
-    for x in basis_list(lam):
-        out: dict = {}
-        for v, places in index.items():
-            terms = sc.bracket(x, v)
-            if not terms:
-                continue
-            for head, tail, c in places:
-                for z, cz in terms:
-                    mono = list(head + tail)
-                    insort(mono, z)
-                    mono = tuple(mono)
-                    out[mono] = out.get(mono, 0) + c * cz
-        yield x, Polynomial({m: c for m, c in out.items() if c})
+    derivations = ((x, partial(sc.bracket, x)) for x in basis_list(lam))
+    for x, terms in derivation_images(p.terms, derivations, _sorted_insert):
+        yield x, Polynomial(terms)
+
+
+def _sorted_insert(head: tuple, v, tail: tuple) -> dict:
+    """The commutative monomial head * v * tail, sorted."""
+    mono = list(head + tail)
+    insort(mono, v)
+    return {tuple(mono): 1}
 
 
 def verify_invariant(lam: Composition, r: int) -> Report:

@@ -47,7 +47,7 @@ def pbw_elements(lam, max_len: int = 2, max_terms: int = 3):
     pairs = st.lists(st.tuples(word, st.integers(-3, 3)),
                      min_size=0, max_size=max_terms)
     return pairs.map(lambda ps: sum(
-        (c * math.prod(map(alg.embed, w), start=alg.one())
+        (c * math.prod(map(alg.embed, w), start=alg.scalar(1))
          for w, c in dict(ps).items()), alg.zero()))
 
 

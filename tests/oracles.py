@@ -123,7 +123,7 @@ def adjoint_action(lam, x, p) -> Polynomial:
 def substitute_word(lam, word) -> PbwElement:
     """Image of a word under T[i,j;s+1] -> (-1)^s e[i,j;s], multiplied in order."""
     alg = pbw_algebra(lam)
-    out = alg.one()
+    out = alg.scalar(1)
     for x in word:
         sign = -1 if (x.s - 1) % 2 else 1
         out = out * (sign * alg.embed(BasisIndex(x.i, x.j, x.s - 1)))

@@ -169,7 +169,7 @@ def _random_pbw(alg, basis, rng):
     for _ in range(rng.randint(1, 3)):
         word = tuple(rng.choice(basis) for _ in range(rng.randint(0, 2)))
         terms[word] = rng.randint(-3, 3)
-    return sum((c * math.prod(map(alg.embed, word), start=alg.one())
+    return sum((c * math.prod(map(alg.embed, word), start=alg.scalar(1))
                 for word, c in terms.items()), alg.zero())
 
 

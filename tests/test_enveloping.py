@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ def commutators(a):
 class TestBasicElements:
     def test_embed_and_scalar(self):
         alg = pbw_algebra(LAM12)
-        one = alg.one()
+        one = alg.scalar(1)
         assert words(one) == {(): 1}
         x = embed(LAM12, (1, 1, 0))
         assert words(x) == {(BasisIndex(1, 1, 0),): 1}
@@ -78,8 +80,8 @@ class TestMultiplication:
     @given(pbw_elements(LAM12))
     def test_unit_laws(self, a):
         alg = pbw_algebra(LAM12)
-        assert alg.one() * a == a
-        assert a * alg.one() == a
+        assert alg.scalar(1) * a == a
+        assert a * alg.scalar(1) == a
         assert (alg.zero() * a).is_zero()
         assert 1 * a == a and a * 1 == a
 
@@ -109,17 +111,34 @@ class TestMultiplication:
                     assert lhs == rhs
 
 
+INSERTION_COMPOSITIONS = [Composition(p) for p in (
+    (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 3), (1, 1, 1, 1))]
+
+
 class TestInsertion:
-    @pytest.mark.parametrize("lam", [Composition(p) for p in (
-        (1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 3), (1, 1, 1, 1))], ids=str)
+    @pytest.mark.parametrize("lam", INSERTION_COMPOSITIONS, ids=str)
     @given(data=st.data())
     def test_products_match_transposition_oracle(self, lam, data):
         """Generators multiplied in any order straighten as by transposition."""
         alg = pbw_algebra(lam)
         word = data.draw(st.lists(st.integers(0, len(alg.basis) - 1),
                                   max_size=5).map(tuple))
-        got = math.prod((alg.embed(alg.basis[t]) for t in word), start=alg.one())
+        got = math.prod((alg.embed(alg.basis[t]) for t in word), start=alg.scalar(1))
         assert got.terms == transposition_normal_form(alg, word)
+
+    @pytest.mark.parametrize("lam", INSERTION_COMPOSITIONS, ids=str)
+    @given(data=st.data())
+    def test_insertion_matches_transposition_oracle(self, lam, data):
+        """A letter put anywhere into a sorted word, so that it moves left
+        or right, straightens as by transposition."""
+        alg = pbw_algebra(lam)
+        letter = st.integers(0, len(alg.basis) - 1)
+        s = tuple(sorted(data.draw(st.lists(letter, max_size=5))))
+        h = data.draw(st.integers(0, len(s)))
+        z = data.draw(letter)
+        head, tail = s[:h], s[h:]
+        assert alg._insert(head, z, tail) == transposition_normal_form(
+            alg, head + (z,) + tail)
 
 
 def word_sums(lam):
@@ -143,7 +162,7 @@ def word_sums(lam):
 def generator_products(lam, terms):
     """sum c * e_x1 ... e_xk, one public product per letter."""
     alg = pbw_algebra(lam)
-    return sum((c * math.prod(map(alg.embed, w), start=alg.one())
+    return sum((c * math.prod(map(alg.embed, w), start=alg.scalar(1))
                 for w, c in terms.items()), alg.zero())
 
 
@@ -290,6 +309,19 @@ class TestCentralElements:
         assert filtration_degree(alg.scalar(5)) == 0
         with pytest.raises(ValueError):
             filtration_degree(alg.zero())
+
+    def test_evicted_algebra_is_freed_at_once(self):
+        """The central elements an algebra keeps do not point back at it,
+        so evicting it frees it without the cyclic collector."""
+        pbw_algebra(Composition((2, 2)))
+        gc.disable()
+        try:
+            central_element(LAM12, 2)
+            ref = weakref.ref(pbw_algebra(LAM12))
+            pbw_algebra(Composition((2, 2)))
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_verify_central_small(self):
         for lam in (LAM12, Composition((2, 3)), Composition((4,))):

@@ -49,13 +49,17 @@ def unreferenced_definitions(sources: list[str]) -> list[str]:
 
     A top-level name is used only by a bare name; obj.name reads an
     attribute, which may be a method of the same name.  A method is used
-    by a bare name or by an attribute read.
+    by an attribute read, or by a bare name in its own class body outside
+    its methods (other = method); a bare name anywhere else is a local or
+    a global, never the method.  Reads are matched by name alone, so two
+    classes with a method of the same name hide each other: a read of
+    either counts for both.
     """
     trees = [ast.parse(source) for source in sources]
     nodes = [n for tree in trees for n in ast.walk(tree)]
     names = {n.id for n in nodes if isinstance(n, ast.Name)}
-    reads = names | {n.attr for n in nodes if isinstance(n, ast.Attribute)
-                     and isinstance(n.ctx, ast.Load)}
+    attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load)}
     unused = []
     for node in (node for tree in trees for node in tree.body):
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -63,10 +67,13 @@ def unreferenced_definitions(sources: list[str]) -> list[str]:
         if node.name not in names:
             unused.append(node.name)
         if isinstance(node, ast.ClassDef):
+            own = {n.id for stmt in node.body
+                   if not isinstance(stmt, ast.FunctionDef)
+                   for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             unused += [f"{node.name}.{m.name}" for m in node.body
                        if isinstance(m, ast.FunctionDef)
                        and not (m.name.startswith("__") and m.name.endswith("__"))
-                       and m.name not in reads]
+                       and m.name not in attributes | own]
     return unused
 
 
@@ -84,9 +91,12 @@ def test_the_check_sees_an_unreferenced_method():
               "    def helper(self):\n        return 1\n\n"
               "    def aliased(self):\n        return 2\n\n"
               "    def dead(self):\n        return 3\n\n"
+              "    def shadowed(self):\n        return 4\n\n"
               "    other = aliased\n\n\n"
-              "box = Box()\nbox.dead = box.read\n")
-    assert unreferenced_definitions([source]) == ["Box.dead"]
+              "def run():\n    def shadowed():\n        return 5\n\n"
+              "    return shadowed()\n\n\n"
+              "box = Box()\nbox.dead = box.read\nrun()\n")
+    assert unreferenced_definitions([source]) == ["Box.dead", "Box.shadowed"]
 
 
 def test_every_definition_is_referenced():
