@@ -54,7 +54,6 @@ from .invariants import (
 )
 from .linalg import column_determinant
 from .slice import (
-    JacobianCertificate,
     PVar,
     evaluate_basis_at_slice,
     jacobian_independence,

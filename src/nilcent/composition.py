@@ -24,11 +24,12 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a composition needs at least one part")
-        if any(p < 1 for p in parts):
+        # type, not isinstance: a bool is an int, and 2.7 must not become 2
+        if any(type(p) is not int or p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
         if sum(parts) > MAX_TOTAL:
             raise ValueError(

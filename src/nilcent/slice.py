@@ -1,18 +1,19 @@
 """Evaluation on the affine slice and algebraic independence.
 
-The slice lives inside the dual of the centralizer: its points assign to
-e[i,j;r] the coordinate p[j,r] when i = n, the constant 1 when j = i + 1
-and r = lam_j - 1, and 0 otherwise.  Restriction of top symbols to the
-slice is the induced algebra map into the polynomial ring on the N
-coordinates p[j,t], 0 <= t < lam_j.  The construction requires weakly
-increasing parts; for decreasing parts the bottom-row labels fall outside
-the admissible window.
+The slice base point xi_0 of the dual of the centralizer is 1 on the
+labels e[i,i+1;lam_{i+1}-1] when the parts increase, 1 on the mirrored
+labels e[i+1,i;lam_i-1] otherwise, and 0 on every other label.  For
+increasing parts the slice is xi_0 plus the coordinates p[j,r] on the
+bottom-row labels e[n,j;r], 0 <= r < lam_j.  Restriction of top symbols
+to the slice is the induced algebra map into the polynomial ring on these
+N coordinates; for decreasing parts the bottom-row labels fall outside
+the admissible window, so restriction needs increasing parts.  The
+Jacobian of the invariants at xi_0 certifies their independence for
+either orientation.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .centralizer import BasisIndex, basis_list, is_admissible
@@ -21,8 +22,6 @@ from .invariants import Polynomial, elementary_invariant
 from .linalg import rational_rank
 from .reports import Check, Report
 from .sparse import accumulate
-
-JACOBIAN_ATTEMPTS = 5
 
 
 class PVar(NamedTuple):
@@ -47,6 +46,15 @@ def slice_coordinates(lam: Composition) -> tuple[PVar, ...]:
     )
 
 
+def base_point(lam: Composition) -> dict[BasisIndex, int]:
+    """The nonzero values of the slice base point xi_0: 1 on
+    e[i,i+1;lam_{i+1}-1] for increasing parts, else on e[i+1,i;lam_i-1]."""
+    if lam.is_increasing:
+        return {BasisIndex(i, i + 1, lam.part(i + 1) - 1): 1
+                for i in range(1, lam.n)}
+    return {BasisIndex(i + 1, i, lam.part(i) - 1): 1 for i in range(1, lam.n)}
+
+
 def evaluate_basis_at_slice(lam: Composition, idx) -> Polynomial:
     """Value of one basis label as a polynomial in the slice coordinates."""
     _require_increasing(lam)
@@ -56,7 +64,7 @@ def evaluate_basis_at_slice(lam: Composition, idx) -> Polynomial:
     i, j, r = idx
     if i == lam.n:
         return Polynomial.variable(PVar(j, r))
-    if j == i + 1 and r == lam.part(j) - 1:
+    if idx in base_point(lam):
         return Polynomial.constant(1)
     return Polynomial.zero()
 
@@ -129,65 +137,19 @@ def verify_slice_coordinates(lam: Composition) -> Report:
     return Report(f"slice restriction lambda={lam}", tuple(checks))
 
 
-@dataclass(frozen=True)
-class JacobianCertificate:
-    """Outcome of the randomized full-rank search.
+def jacobian_independence(lam: Composition) -> Report:
+    """Certify algebraic independence by the exact Jacobian rank at xi_0.
 
-    certified=True proves independence; certified=False is inconclusive.
+    Rows are the N invariants, columns the basis labels, and the point is
+    the slice base point.  Rank N there proves independence.  For
+    increasing parts each x_r restricts to +-a distinct slice coordinate,
+    so the columns at the coordinate labels already form a signed
+    permutation matrix.
     """
-
-    lam: Composition
-    certified: bool
-    rank: int
-    target: int
-    points_tried: int
-    point_index: int | None
-    seed: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema": 1,
-            "lambda": self.lam.to_string(),
-            "certified": self.certified,
-            "rank": self.rank,
-            "target": self.target,
-            "points_tried": self.points_tried,
-            "point_index": self.point_index,
-            "seed": self.seed,
-        }
-
-
-def jacobian_independence(lam: Composition, seed: int = 0) -> JacobianCertificate:
-    """Certify algebraic independence by exact Jacobian rank at random points.
-
-    Rows are the N invariants, columns the basis labels; points have
-    integer coordinates in [-9, 9] drawn from a seeded generator.  Full
-    rank at any point is a proof; failure after JACOBIAN_ATTEMPTS points
-    is reported as inconclusive, never as a refutation.
-    """
-    polys = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
-    variables = basis_list(lam)
-    partials = [{v: p.partial(v) for v in p.variables()} for p in polys]
-    rng = random.Random(seed)
-    target = len(polys)
-    best = 0
-    point_index = None
-    tried = 0
-    for k in range(JACOBIAN_ATTEMPTS):
-        point = {v: rng.randint(-9, 9) for v in variables}
-        rank = rational_rank([{v: q.evaluate(point) for v, q in row.items()}
-                              for row in partials])
-        tried = k + 1
-        best = max(best, rank)
-        if rank == target:
-            point_index = k
-            break
-    return JacobianCertificate(
-        lam=lam,
-        certified=point_index is not None,
-        rank=best,
-        target=target,
-        points_tried=tried,
-        point_index=point_index,
-        seed=seed,
-    )
+    point = dict.fromkeys(basis_list(lam), 0) | base_point(lam)
+    xs = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
+    rows = [{v: x.partial(v).evaluate(point) for v in x.variables()} for x in xs]
+    rank = rational_rank(rows)
+    check = Check(f"Jacobian of x_1..x_{lam.N} at the slice base point has "
+                  f"rank {lam.N}", rank == lam.N, f"rank {rank} of {lam.N}")
+    return Report(f"algebraic independence lambda={lam}", (check,))

@@ -48,8 +48,8 @@ def pool_sizes(monkeypatch):
 
 
 def sweep(max_n, as_json=False):
-    """Exit code and stdout of a serial sweep with seed 0."""
-    ns = argparse.Namespace(command="sweep", max_n=max_n, seed=0, jobs=1,
+    """Exit code and stdout of a serial sweep."""
+    ns = argparse.Namespace(command="sweep", max_n=max_n, jobs=1,
                             as_json=as_json)
     out, err = io.StringIO(), io.StringIO()
     return cli.run_command(ns, out=out, err=err), out.getvalue()
@@ -140,15 +140,17 @@ class TestSlice:
     def test_text(self, capsys):
         rc, out, _ = run(capsys, "slice", "--lambda", "1,2")
         assert rc == 0
-        assert "jacobian rank 3 of 3: certified" in out
+        assert out.splitlines()[-1] == (
+            "PASS  Jacobian of x_1..x_3 at the slice base point has rank 3"
+            "  (rank 3 of 3)")
         assert "PASS" in out and "FAIL" not in out
 
     def test_json(self, capsys):
         rc, out, _ = run(capsys, "slice", "--lambda", "2,3", "--json")
         assert rc == 0
         obj = json.loads(out)
-        assert obj["jacobian"]["certified"] is True
-        assert obj["jacobian"]["rank"] == 5
+        assert obj["jacobian"]["ok"] is True
+        assert obj["jacobian"]["checks"][0]["detail"] == "rank 5 of 5"
         assert obj["coordinates"] == [[1, 0], [1, 1], [2, 0], [2, 1], [2, 2]]
 
     def test_decreasing_is_usage_error(self, capsys):
@@ -212,6 +214,7 @@ class TestSweep:
         assert rc == 0
         obj = json.loads(out)
         assert obj["schema"] == 1 and obj["ok"] is True
+        assert set(obj) == {"schema", "max_N", "ok", "rows"}
         assert obj["max_N"] == 2
         lams = {row["lambda"] for row in obj["rows"]}
         assert lams == {"1", "1,1", "2"}
@@ -266,6 +269,17 @@ class TestSweep:
         assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
             ("slice_restriction", 2, "got p[2,1]"),
             ("slice_bijection", None, "restrict(x_2) = 2*p[2,1]: got p[2,1]")]
+
+    def test_failed_jacobian_row_names_a_witness(self, monkeypatch):
+        # x_3 of 2,1 becomes x_1^2, whose gradient vanishes where x_1 does
+        real = slice_module.elementary_invariant
+        monkeypatch.setattr(slice_module, "elementary_invariant", lambda lam, r: (
+            real(lam, 1) * real(lam, 1) if r == 3 else real(lam, r)))
+        rows = [row for row in cli.sweep_composition(Composition((2, 1)))
+                if not row["ok"]]
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("jacobian_rank", None, "Jacobian of x_1..x_3 at the slice base "
+             "point has rank 3: rank 2 of 3")]
 
     def test_failed_symbol_rows_name_a_witness(self, monkeypatch):
         lam = Composition((1, 2))
@@ -341,6 +355,13 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "central", "--lambda", "1,2", "--r", "1")
         assert rc == getattr(cli, code)
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["slice", "--lambda", "1,2"],
+                                      ["sweep", "--max-N", "1"]])
+    def test_no_seed_option(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "0"])
+        assert exc.value.code == 2
 
     def test_missing_lambda(self):
         with pytest.raises(SystemExit) as exc:

@@ -45,6 +45,11 @@ class TestComposition:
         with pytest.raises(ValueError):
             Composition.from_string(bad)
 
+    @pytest.mark.parametrize("parts", [(2.7, 3), (2.0, 3), (True, 2), ("1", 2)])
+    def test_rejects_parts_that_are_not_ints(self, parts):
+        with pytest.raises(ValueError, match="positive integers"):
+            Composition(parts)
+
     def test_rejects_oversized_total(self):
         with pytest.raises(ValueError):
             Composition((65,))

@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used by its module, every
-top-level function or class, and every method of one, is used somewhere
-in the package, and every cache in the package is bounded.
+"""Every module-level import in the package is used by its module, no
+module imports random, every top-level function or class, and every
+method of one, is used somewhere in the package, and every cache in the
+package is bounded.
 
 Package re-exports in __init__.py and __future__ imports are exempt, and
 a re-export does not count as a use: code that only tests call belongs in
@@ -41,6 +42,34 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_random(source: str) -> bool:
+    """Whether any import statement, at any depth, names random.
+
+    Every check is exact, so no module draws a random point and stdout
+    depends on the arguments alone.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "random" for m in modules):
+            return True
+    return False
+
+
+def test_the_check_sees_a_random_import():
+    assert imports_random("import os, random as rng\n")
+    assert imports_random("def f():\n    from random import Random\n")
+    assert not imports_random("from . import random_walk\nimport randomize\n")
+
+
+def test_no_module_imports_random():
+    assert [p.name for p in MODULES if imports_random(p.read_text())] == []
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 
 from nilcent import slice as slice_module
 from nilcent.centralizer import BasisIndex, basis_list
-from nilcent.composition import Composition
+from nilcent.composition import Composition, monotone_compositions
 from nilcent.invariants import Polynomial, elementary_invariant
 from nilcent.linalg import rational_rank
 from nilcent.slice import (
     PVar,
+    base_point,
     evaluate_basis_at_slice,
     expected_restriction,
     jacobian_independence,
@@ -120,41 +121,73 @@ class TestExpectedRestriction:
             verify_slice_coordinates(Composition((2, 1)))
 
 
+def jacobian_detail(lam):
+    rep = jacobian_independence(lam)
+    assert len(rep.checks) == 1
+    return rep.ok, rep.checks[0].detail
+
+
+class TestBasePoint:
+    def test_increasing_is_one_above_the_diagonal(self):
+        assert base_point(Composition((1, 2, 2))) == {
+            BasisIndex(1, 2, 1): 1, BasisIndex(2, 3, 1): 1}
+        assert base_point(Composition((4,))) == {}
+
+    def test_decreasing_is_mirrored(self):
+        assert base_point(Composition((3, 2, 1))) == {
+            BasisIndex(2, 1, 2): 1, BasisIndex(3, 2, 1): 1}
+
+    def test_labels_are_admissible(self):
+        for total in range(1, 7):
+            for lam in monotone_compositions(total):
+                assert set(base_point(lam)) <= set(basis_list(lam)), lam
+
+
 class TestJacobian:
     def test_hand_checked_point(self):
-        """gl_2 invariants at e[1,1;0]=1, rest 0: rank 2 by direct rows."""
+        """gl_2 invariants at xi_0 = (e[1,2;0] = 1, rest 0), by direct rows."""
         lam = LAM11
         polys = [elementary_invariant(lam, 1), elementary_invariant(lam, 2)]
         variables = basis_list(lam)
         point = {v: 0 for v in variables}
-        point[BasisIndex(1, 1, 0)] = 1
+        point[BasisIndex(1, 2, 0)] = 1
+        assert base_point(lam) == {BasisIndex(1, 2, 0): 1}
         matrix = [[p.partial(v).evaluate(point) for v in variables]
                   for p in polys]
-        assert matrix == [[1, 0, 0, 1], [0, 0, 0, 1]]
+        assert matrix == [[1, 0, 0, 1], [0, 0, -1, 0]]
         assert rational_rank([dict(enumerate(row)) for row in matrix]) == 2
+        assert jacobian_detail(lam) == (True, "rank 2 of 2")
 
     def test_certified_small(self):
-        for lam in (LAM11, LAM12, Composition((3,))):
-            cert = jacobian_independence(lam)
-            assert cert.certified
-            assert cert.rank == cert.target == lam.N
+        for lam in (LAM11, LAM12, Composition((3,)), Composition((2, 1))):
+            assert jacobian_detail(lam) == (True, f"rank {lam.N} of {lam.N}")
 
     def test_dependent_rows_not_certified(self, monkeypatch):
         x1 = elementary_invariant(LAM11, 1)
         monkeypatch.setattr(slice_module, "elementary_invariant", lambda lam, r: x1)
-        cert = jacobian_independence(LAM11)
-        assert not cert.certified
-        assert cert.rank == 1
-        assert cert.points_tried == 5
-        assert cert.point_index is None
+        assert jacobian_detail(LAM11) == (False, "rank 1 of 2")
 
     def test_frozen_certificate(self):
-        cert = jacobian_independence(LAM23, seed=0)
-        assert cert.certified
-        assert cert.rank == 5
-        assert cert.target == 5
-        assert cert.point_index == 0
-        obj = cert.to_json_obj()
-        assert obj["schema"] == 1
-        assert obj["lambda"] == "2,3"
-        assert obj["certified"] is True
+        rep = jacobian_independence(LAM23)
+        assert rep.to_json_obj() == {
+            "subject": "algebraic independence lambda=2,3",
+            "ok": True,
+            "checks": [{"name": "Jacobian of x_1..x_5 at the slice base point "
+                                "has rank 5",
+                        "passed": True, "detail": "rank 5 of 5"}],
+        }
+
+    def test_all_zero_point_fails(self, monkeypatch):
+        """The check can fail: without the constant 1 the rank drops."""
+        assert jacobian_detail(LAM12) == (True, "rank 3 of 3")
+        monkeypatch.setattr(slice_module, "base_point", lambda lam: {})
+        assert jacobian_detail(LAM12) == (False, "rank 2 of 3")
+
+    def test_full_rank_on_wide_compositions(self):
+        """Both orientations of every lambda with <= 3 parts, 8 <= N <= 10."""
+        lams = [lam for total in range(8, 11)
+                for lam in monotone_compositions(total) if lam.n <= 3]
+        assert len(lams) == 66
+        assert sum(not lam.is_increasing for lam in lams) > 0
+        for lam in lams:
+            assert jacobian_detail(lam) == (True, f"rank {lam.N} of {lam.N}"), lam
