@@ -55,7 +55,6 @@ from .invariants import (
 from .linalg import column_determinant
 from .slice import (
     PVar,
-    evaluate_basis_at_slice,
     jacobian_independence,
     restrict,
     verify_slice_coordinates,

@@ -90,8 +90,11 @@ class SubComposition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
+        # type, not isinstance, for the reason given in Composition
+        if any(type(p) is not int for p in parts):
+            raise ValueError(f"parts must be integers, got {parts}")
         bounds = self.parent.parts
         if len(parts) != len(bounds):
             raise ValueError(

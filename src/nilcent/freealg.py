@@ -6,16 +6,17 @@ of superscript s vanishes when 0 < s <= shift(i,j) or s > lam_j, and
 superscript 0 is the scalar delta_{i,j} (never stored as a letter).  The
 column determinant of the twisted symbol matrix produces a monic
 polynomial in a central variable u whose coefficients Z_r expand the
-central generators.  expansion_identity checks Z_r against its binomial
-expansion, which sums weighted n x n symbol determinants with
-superscripts nu; the weights of each nu are summed first, so each nu
-costs one determinant, and the check never reads z_polynomial's
-u-expansion.  verify_graded_image checks that loop_weight is bounded on
-the words of Z_r and that substituting centralizer generators for the
-letters sends the top-weight part onto the central generator of matching
-weight; the substituted words are multiplied out by
-enveloping.product_sum, which walks them in sorted order and multiplies
-each shared prefix once.
+central generators; its monomials are pairs (k, word) for u^k * word, so
+z_polynomial groups them by k in one pass.  expansion_identity checks
+Z_r against its binomial expansion, which sums weighted n x n symbol
+determinants with superscripts nu; the weights of each nu are summed
+first, so each nu costs one determinant, and the check never reads
+z_polynomial's u-expansion.  verify_graded_image checks that loop_weight
+is bounded on the words of Z_r and that substituting centralizer
+generators for the letters sends the top-weight part onto the central
+generator of matching weight; the substituted words are multiplied out
+by enveloping.product_sum, which walks them in sorted order and
+multiplies each shared prefix once.
 """
 
 from __future__ import annotations
@@ -90,36 +91,23 @@ def t_symbol(lam: Composition, i: int, j: int, s: int) -> FreeElement:
 
 
 class UPolynomial(SparseElement):
-    """Polynomial in one central variable with free-algebra coefficients.
+    """Polynomial in one central variable u over the free algebra.
 
-    Terms map the exponent of u to a nonzero FreeElement.
+    The monomial (k, word) stands for u^k * word.
     """
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls) -> "UPolynomial":
-        return cls({})
-
     def _scalar(self, c):
-        return UPolynomial({0: FreeElement.scalar(c)} if c else {})
+        return UPolynomial({(0, ()): c} if c else {})
 
-    def _times(self, k1, k2):
-        return ((k1 + k2, 1),)
+    def _times(self, m1, m2):
+        return (((m1[0] + m2[0], m1[1] + m2[1]), 1),)
 
-    def coefficient(self, k: int) -> FreeElement:
-        return self.terms.get(k, FreeElement.zero())
-
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({self.terms[k]!r})*u^{k}"
-                          for k in sorted(self.terms, reverse=True))
+    def _format_monomial(self, m) -> str:
+        k, word = m
+        u = [f"u^{k}"] if k else []
+        return "*".join(u + [_format_letter(x) for x in word]) or "1"
 
 
 def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
@@ -129,13 +117,13 @@ def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
     """
     width = lam.part(j)
     shift = -(j - 1)
-    coeffs: dict[int, FreeElement] = {}
+    terms: dict = {}
     for s in range(width + 1):
-        sym = t_symbol(lam, i, j, s)
         m = width - s
-        accumulate(coeffs, ((k, comb(m, k) * shift ** (m - k))
-                            for k in range(m + 1)), sym)
-    return UPolynomial(coeffs)
+        for w, c in t_symbol(lam, i, j, s).terms.items():
+            accumulate(terms, (((k, w), comb(m, k) * shift ** (m - k))
+                               for k in range(m + 1)), c)
+    return UPolynomial(terms)
 
 
 @lru_cache(maxsize=1)
@@ -155,11 +143,17 @@ def z_polynomial(lam: Composition) -> tuple[FreeElement, ...]:
         [t_entry_polynomial(lam, i, j) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    det = column_determinant(matrix)
     N = lam.N
-    if det.degree() != N or det.coefficient(N) != FreeElement.scalar(1):
+    lower: list[dict] = [{} for _ in range(N)]
+    top: dict = {}
+    for (k, w), c in column_determinant(matrix).terms.items():
+        if k < N:
+            lower[k][w] = c
+        else:
+            top[k, w] = c
+    if top != {(N, ()): 1}:
         raise RuntimeError("symbol determinant is not monic of degree N")
-    return tuple(det.coefficient(N - r) for r in range(1, N + 1))
+    return tuple(FreeElement(lower[N - r]) for r in range(1, N + 1))
 
 
 def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
@@ -212,6 +206,8 @@ def loop_weight(word) -> int:
 
 def expansion_identity(lam: Composition, r: int) -> Report:
     """Z_r from the determinant against its direct binomial expansion."""
+    if not 1 <= r <= lam.N:
+        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
     diff = z_polynomial(lam)[r - 1] - binomial_z_expansion(lam, r)
     return Report(
         f"symbol expansion lambda={lam} r={r}",
@@ -226,6 +222,8 @@ def verify_graded_image(lam: Composition, r: int) -> Report:
     weight-m part must map onto (-1)^m times the weight-r central
     generator under the letter substitution T[i,j;s+1] -> (-1)^s e[i,j;s].
     """
+    if not 1 <= r <= lam.N:
+        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
     Zr = z_polynomial(lam)[r - 1]
     m = r - invariant_degrees(lam)[r - 1]
     over = FreeElement({w: c for w, c in Zr.terms.items() if loop_weight(w) > m})

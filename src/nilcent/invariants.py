@@ -7,6 +7,8 @@ derivation; adjoint_actions applies that of every basis generator to one
 polynomial by the derivation walk of sparse.derivation_images, the one
 the centrality check runs in the enveloping algebra, and
 verify_invariant checks that each one kills an elementary invariant.
+Polynomial supplies ring arithmetic only: the slice restriction and the
+Jacobian read what they need off its terms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .centralizer import BasisIndex, basis_list, structure_constants
 from .composition import MAX_TOTAL, Composition, enumerate_mu
 from .linalg import column_determinant, format_scalar
 from .reports import Report, residual_check
-from .sparse import SparseElement, accumulate, derivation_images
+from .sparse import SparseElement, derivation_images
 
 
 class Polynomial(SparseElement):
@@ -36,35 +38,8 @@ class Polynomial(SparseElement):
         return cls({})
 
     @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls({(): c} if c else {})
-
-    @classmethod
     def variable(cls, v) -> "Polynomial":
         return cls({(v,): 1})
-
-    def variables(self) -> set:
-        return {v for m in self.terms for v in m}
-
-    def evaluate(self, assignment: dict):
-        """Value at a point given as a total map from variables to scalars."""
-        total = 0
-        for mono, c in self.terms.items():
-            v = c
-            for var in mono:
-                v *= assignment[var]
-            total += v
-        return total
-
-    def partial(self, var) -> "Polynomial":
-        """Partial derivative with respect to one variable."""
-        pairs = []
-        for mono, c in self.terms.items():
-            k = mono.count(var)
-            if k:
-                pos = mono.index(var)
-                pairs.append((mono[:pos] + mono[pos + 1:], k * c))
-        return Polynomial(accumulate({}, pairs))
 
     def _times(self, m1, m2):
         return ((tuple(sorted(m1 + m2)), 1),)

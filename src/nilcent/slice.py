@@ -6,17 +6,19 @@ labels e[i+1,i;lam_i-1] otherwise, and 0 on every other label.  For
 increasing parts the slice is xi_0 plus the coordinates p[j,r] on the
 bottom-row labels e[n,j;r], 0 <= r < lam_j.  Restriction of top symbols
 to the slice is the induced algebra map into the polynomial ring on these
-N coordinates; for decreasing parts the bottom-row labels fall outside
-the admissible window, so restriction needs increasing parts.  The
-Jacobian of the invariants at xi_0 certifies their independence for
-either orientation.
+N coordinates, read one value per label; for decreasing parts the
+bottom-row labels fall outside the admissible window, so restriction
+needs increasing parts.  The Jacobian of the invariants at xi_0
+certifies their independence for either orientation; since xi_0 takes
+only the values 0 and 1, its entries are read off the monomials of each
+x_r in one pass.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .centralizer import BasisIndex, basis_list, is_admissible
+from .centralizer import BasisIndex, is_admissible
 from .composition import Composition, invariant_degrees
 from .invariants import Polynomial, elementary_invariant
 from .linalg import rational_rank
@@ -55,18 +57,14 @@ def base_point(lam: Composition) -> dict[BasisIndex, int]:
     return {BasisIndex(i + 1, i, lam.part(i) - 1): 1 for i in range(1, lam.n)}
 
 
-def evaluate_basis_at_slice(lam: Composition, idx) -> Polynomial:
-    """Value of one basis label as a polynomial in the slice coordinates."""
-    _require_increasing(lam)
-    idx = BasisIndex(*idx)
+def _slice_value(lam: Composition, idx):
+    """Slice value of one basis label: its coordinate, 1, or None for 0."""
     if not is_admissible(lam, idx):
         raise ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
     i, j, r = idx
     if i == lam.n:
-        return Polynomial.variable(PVar(j, r))
-    if idx in base_point(lam):
-        return Polynomial.constant(1)
-    return Polynomial.zero()
+        return PVar(j, r)
+    return 1 if idx in base_point(lam) else None
 
 
 def restrict(lam: Composition, p: Polynomial) -> Polynomial:
@@ -76,25 +74,20 @@ def restrict(lam: Composition, p: Polynomial) -> Polynomial:
     map to monomials and this is the induced algebra homomorphism.
     """
     _require_increasing(lam)
-    images: dict = {}
+    values: dict = {}
     out: dict = {}
     for mono, c in p.terms.items():
         pvars = []
-        dead = False
         for v in mono:
-            img = images.get(v)
-            if img is None:
-                img = evaluate_basis_at_slice(lam, v)
-                images[v] = img
-            if img.is_zero():
-                dead = True
+            if v not in values:
+                values[v] = _slice_value(lam, v)
+            value = values[v]
+            if value is None:
                 break
-            ((m, cm),) = img.terms.items()
-            assert cm == 1, "slice images are monic by construction"
-            pvars.extend(m)
-        if dead:
-            continue
-        accumulate(out, ((tuple(sorted(pvars)), c),))
+            if isinstance(value, PVar):
+                pvars.append(value)
+        else:
+            accumulate(out, ((tuple(sorted(pvars)), c),))
     return Polynomial(out)
 
 
@@ -145,10 +138,24 @@ def jacobian_independence(lam: Composition) -> Report:
     increasing parts each x_r restricts to +-a distinct slice coordinate,
     so the columns at the coordinate labels already form a signed
     permutation matrix.
+
+    xi_0 is 1 on the base-point labels and 0 elsewhere, so the entries are
+    read off the monomials in one pass: a term c*m with exactly one letter
+    off the base point, counted with multiplicity, adds c at that letter;
+    one with none adds c times its multiplicity at each letter of m; any
+    other term vanishes to second order at xi_0.
     """
-    point = dict.fromkeys(basis_list(lam), 0) | base_point(lam)
-    xs = [elementary_invariant(lam, r) for r in range(1, lam.N + 1)]
-    rows = [{v: x.partial(v).evaluate(point) for v in x.variables()} for x in xs]
+    ones = base_point(lam)
+    rows = []
+    for r in range(1, lam.N + 1):
+        row: dict = {}
+        for m, c in elementary_invariant(lam, r).terms.items():
+            rest = [v for v in m if v not in ones]
+            if len(rest) == 1:
+                accumulate(row, ((rest[0], c),))
+            elif not rest:
+                accumulate(row, ((v, c * m.count(v)) for v in set(m)))
+        rows.append(row)
     rank = rational_rank(rows)
     check = Check(f"Jacobian of x_1..x_{lam.N} at the slice base point has "
                   f"rank {lam.N}", rank == lam.N, f"rank {rank} of {lam.N}")

@@ -2,12 +2,14 @@
 
 The enveloping algebra, the symmetric algebra, the free algebra,
 polynomials in u over the free algebra and the matrix units of gl_N all
-store an element this way.
+store an element this way, each coefficient an exact scalar.
 They differ only in how two monomials multiply and how a monomial prints;
 coercion, comparison and the linear and ring operations live here, and
 so does derivation_images, which applies derivations word by word for
 the centrality check in the enveloping algebra and the invariance check
-in the symmetric algebra.
+in the symmetric algebra.  A caller that needs more than ring arithmetic,
+such as a coefficient of u or a derivative at a point, reads it off the
+terms itself.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class SparseElement:
     A subclass supplies _times(m1, m2), the product of two monomials as
     (monomial, coefficient) pairs, and _format_monomial(m) for repr.  One
     whose elements carry a context overrides _new and _coerce; one whose
-    coefficients are not scalars overrides _scalar and __repr__.
+    unit monomial is not () overrides _scalar.
     """
 
     __slots__ = ("terms",)

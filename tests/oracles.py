@@ -23,6 +23,7 @@ from nilcent.freealg import FreeElement, t_symbol
 from nilcent.invariants import Polynomial
 from nilcent.linalg import column_determinant
 from nilcent.reports import Check, Report
+from nilcent.slice import PVar, base_point
 from nilcent.sparse import accumulate
 
 
@@ -118,6 +119,49 @@ def adjoint_action(lam, x, p) -> Polynomial:
         for t, v in enumerate(mono)
         for z, cz in sc.bracket(x, v)
     )))
+
+
+def evaluate(p, assignment: dict):
+    """Value of a Polynomial at a point given as a total map from variables
+    to scalars.
+
+    With partial, the reference for the slice Jacobian and restriction.
+    """
+    total = 0
+    for mono, c in p.terms.items():
+        v = c
+        for var in mono:
+            v *= assignment[var]
+        total += v
+    return total
+
+
+def partial(p, var) -> Polynomial:
+    """Partial derivative of a Polynomial with respect to one variable."""
+    pairs = []
+    for mono, c in p.terms.items():
+        k = mono.count(var)
+        if k:
+            pos = mono.index(var)
+            pairs.append((mono[:pos] + mono[pos + 1:], k * c))
+    return Polynomial(accumulate({}, pairs))
+
+
+def evaluate_basis_at_slice(lam, idx) -> Polynomial:
+    """Value of one basis label as a polynomial in the slice coordinates.
+
+    The coordinate p[j,r] on a bottom-row label e[n,j;r], the base-point
+    value on any other label.  With evaluate, the per-label reference for
+    slice.restrict.
+    """
+    if not lam.is_increasing:
+        raise ValueError(f"the slice needs weakly increasing parts, got {lam}")
+    idx = BasisIndex(*idx)
+    if not is_admissible(lam, idx):
+        raise ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
+    if idx.i == lam.n:
+        return Polynomial.variable(PVar(idx.j, idx.r))
+    return Polynomial.zero() + base_point(lam).get(idx, 0)
 
 
 def substitute_word(lam, word) -> PbwElement:

@@ -63,6 +63,11 @@ class TestComposition:
         with pytest.raises(ValueError):
             SubComposition(lam, (1,))
 
+    @pytest.mark.parametrize("parts", [(True, 0), (1.9, 0), (1, 2.0), ("1", 2)])
+    def test_subcomposition_rejects_parts_that_are_not_ints(self, parts):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            SubComposition(Composition((1, 2)), parts)
+
 
 class TestInvariantDegrees:
     def test_examples(self):

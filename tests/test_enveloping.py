@@ -274,6 +274,11 @@ class TestCdet:
         with pytest.raises(ValueError):
             cdet_mu(LAM12, SubComposition(LAM12, (1, 1)))
 
+    def test_rejects_parts_that_are_not_ints(self):
+        """A float part is not truncated into a valid subcomposition."""
+        with pytest.raises(ValueError, match="parts must be integers"):
+            cdet_mu(LAM12, (1.9, 0))
+
 
 class TestCentralElements:
     def test_weight_one_example(self):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from nilcent import freealg
 from nilcent.centralizer import BasisIndex
 from nilcent.composition import Composition, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra
@@ -161,38 +162,50 @@ class TestTSymbol:
             t_symbol(LAM12, 1, 1, -1)
 
 
+def u_coefficient(p, k) -> FreeElement:
+    """The coefficient of u^k in a UPolynomial."""
+    return FreeElement({w: c for (e, w), c in p.terms.items() if e == k})
+
+
+def u_degree(p) -> int:
+    return max(k for k, _ in p.terms)
+
+
+def u_plus(x) -> UPolynomial:
+    """u + x for a single letter x."""
+    return UPolynomial({(1, ()): 1, (0, (x,)): 1})
+
+
 class TestUPolynomial:
     def test_arithmetic(self):
-        p = UPolynomial({1: FreeElement.scalar(1), 0: letter("a")})
-        q = UPolynomial({1: FreeElement.scalar(1), 0: letter("b")})
+        p, q = u_plus("a"), u_plus("b")
         prod = p * q
-        assert prod.degree() == 2
-        assert prod.coefficient(2) == FreeElement.scalar(1)
-        assert prod.coefficient(1) == letter("a") + letter("b")
-        assert prod.coefficient(0) == letter("a") * letter("b")
-        assert (p + q).coefficient(1) == FreeElement.scalar(2)
+        assert u_degree(prod) == 2
+        assert u_coefficient(prod, 2) == FreeElement.scalar(1)
+        assert u_coefficient(prod, 1) == letter("a") + letter("b")
+        assert u_coefficient(prod, 0) == letter("a") * letter("b")
+        assert u_coefficient(p + q, 1) == FreeElement.scalar(2)
+        assert q * p != prod
+        assert repr(prod) == "a*b + u^1*a + u^1*b + u^2"
 
     def test_subtraction_and_negation(self):
-        p = UPolynomial({1: FreeElement.scalar(1), 0: letter("a")})
-        assert p - p == UPolynomial.zero()
+        p = u_plus("a")
+        assert p - p == UPolynomial({})
         neg = -p
-        assert neg.coefficient(1) == FreeElement.scalar(-1)
-        assert neg.coefficient(0) == -letter("a")
-        assert neg + p == UPolynomial.zero()
+        assert u_coefficient(neg, 1) == FreeElement.scalar(-1)
+        assert u_coefficient(neg, 0) == -letter("a")
+        assert neg + p == 0
 
     def test_entry_polynomial_frozen(self):
         e11 = t_entry_polynomial(LAM12, 1, 1)
-        assert e11.degree() == 1
-        assert e11.coefficient(1) == FreeElement.scalar(1)
-        assert e11.coefficient(0) == T(1, 1, 1)
+        assert e11.terms == {(1, ()): 1, (0, (TSymbol(1, 1, 1),)): 1}
         e12 = t_entry_polynomial(LAM12, 1, 2)
-        assert e12.degree() == 0
-        assert e12.coefficient(0) == T(1, 2, 2)
+        assert e12.terms == {(0, (TSymbol(1, 2, 2),)): 1}
         e22 = t_entry_polynomial(LAM12, 2, 2)
-        assert e22.degree() == 2
-        assert e22.coefficient(2) == FreeElement.scalar(1)
-        assert e22.coefficient(1) == T(2, 2, 1) - 2
-        assert e22.coefficient(0) == -T(2, 2, 1) + T(2, 2, 2) + 1
+        assert u_degree(e22) == 2
+        assert u_coefficient(e22, 2) == FreeElement.scalar(1)
+        assert u_coefficient(e22, 1) == T(2, 2, 1) - 2
+        assert u_coefficient(e22, 0) == -T(2, 2, 1) + T(2, 2, 2) + 1
 
     def test_top_coefficient_is_kronecker(self):
         for total in range(1, 6):
@@ -201,8 +214,8 @@ class TestUPolynomial:
                     for j in range(1, lam.n + 1):
                         p = t_entry_polynomial(lam, i, j)
                         want = FreeElement.scalar(1 if i == j else 0)
-                        assert p.coefficient(lam.part(j)) == want
-                        assert p.degree() <= lam.part(j)
+                        assert u_coefficient(p, lam.part(j)) == want
+                        assert u_degree(p) <= lam.part(j)
 
 
 class TestZPolynomial:
@@ -230,6 +243,29 @@ class TestZPolynomial:
     def test_decreasing_raises(self):
         with pytest.raises(ValueError):
             z_polynomial(Composition((2, 1)))
+
+    @pytest.mark.parametrize("times,plus", [
+        (UPolynomial({(0, (TSymbol(1, 1, 1),)): 1}), 0),
+        (2, 0),
+        (UPolynomial({(1, ()): 1}), 0),
+        (0, 0),
+        (1, UPolynomial({(3, ()): 1})),
+    ], ids=["letter", "two", "u", "zero", "plus-u^3"])
+    def test_not_monic_raises(self, monkeypatch, times, plus):
+        """Entry (1,1) of the 1,1 matrix, times one factor plus one term,
+        leaves the u^2 part a letter, 2 or nothing, or puts a power of u
+        above it: with and without a unit u^2 part."""
+        lam = Composition((1, 1))
+        z_polynomial.cache_clear()
+        original = freealg.t_entry_polynomial
+
+        def planted(lam, i, j):
+            p = original(lam, i, j)
+            return p * times + plus if (i, j) == (1, 1) else p
+
+        monkeypatch.setattr(freealg, "t_entry_polynomial", planted)
+        with pytest.raises(RuntimeError, match="not monic of degree N"):
+            z_polynomial(lam)
 
 
 class TestExpansion:
@@ -262,6 +298,17 @@ class TestExpansion:
             binomial_z_expansion(LAM12, 4)
         with pytest.raises(ValueError):
             binomial_z_expansion(Composition((2, 1)), 1)
+
+
+@pytest.mark.parametrize("check", [expansion_identity, verify_graded_image],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("r", [0, -1, 4])
+def test_symbol_checks_reject_weight_first(monkeypatch, check, r):
+    """A bad weight is named before any determinant is built."""
+    monkeypatch.setattr(freealg, "z_polynomial",
+                        lambda lam: pytest.fail("Z built before checking r"))
+    with pytest.raises(ValueError, match=r"weight must lie in 1\.\.3, got"):
+        check(LAM12, r)
 
 
 class TestGradedImage:

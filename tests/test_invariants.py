@@ -23,7 +23,9 @@ from oracles import (
     adjoint_action,
     coadjoint_action,
     dual_index_or_none,
+    evaluate,
     pairing_consistency,
+    partial,
 )
 
 LAM12 = Composition((1, 2))
@@ -48,10 +50,10 @@ def ad(lam, p):
 class TestPolynomial:
     def test_constructors(self):
         assert Polynomial.zero().is_zero()
-        assert Polynomial.constant(0).is_zero()
+        assert (Polynomial.zero() + 0).is_zero()
         p = var(1, 1, 0)
         assert p.terms == {(E110,): 1}
-        assert Polynomial.constant(3).terms == {(): 3}
+        assert (Polynomial.zero() + 3).terms == {(): 3}
 
     @pytest.mark.parametrize("lam", [LAM12])
     @settings(max_examples=40)
@@ -68,10 +70,10 @@ class TestPolynomial:
     def test_evaluate_and_partial(self):
         p = var(1, 1, 0) * var(1, 1, 0) + 3 * var(2, 2, 1)
         point = {E110: 5, E221: -1}
-        assert p.evaluate(point) == 22
-        assert p.partial(E110) == 2 * var(1, 1, 0)
-        assert p.partial(E221) == Polynomial.constant(3)
-        assert p.partial(E210).is_zero()
+        assert evaluate(p, point) == 22
+        assert partial(p, E110) == 2 * var(1, 1, 0)
+        assert partial(p, E221) == Polynomial.zero() + 3
+        assert partial(p, E210).is_zero()
 
     def test_repr_groups_exponents(self):
         p = var(1, 1, 0) * var(1, 1, 0)
@@ -84,7 +86,7 @@ class TestTopSymbol:
             top_symbol(pbw_algebra(LAM12).zero())
 
     def test_scalar(self):
-        assert top_symbol(pbw_algebra(LAM12).scalar(4)) == Polynomial.constant(4)
+        assert top_symbol(pbw_algebra(LAM12).scalar(4)) == Polynomial.zero() + 4
 
     def test_drops_lower_terms(self):
         a = embed(LAM12, E121) * embed(LAM12, E210) + 5 * embed(LAM12, E110) - 7
@@ -138,7 +140,7 @@ class TestElementaryInvariants:
 
 class TestAdjointAction:
     def test_kills_constants(self):
-        assert ad(LAM12, Polynomial.constant(9))[E121].is_zero()
+        assert ad(LAM12, Polynomial.zero() + 9)[E121].is_zero()
 
     def test_single_variable(self):
         got = ad(LAM11, var(2, 1, 0))[BasisIndex(1, 2, 0)]

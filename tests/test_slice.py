@@ -11,7 +11,6 @@ from nilcent.linalg import rational_rank
 from nilcent.slice import (
     PVar,
     base_point,
-    evaluate_basis_at_slice,
     expected_restriction,
     jacobian_independence,
     restrict,
@@ -20,6 +19,7 @@ from nilcent.slice import (
 )
 
 from conftest import polynomials
+from oracles import evaluate, evaluate_basis_at_slice, partial
 
 LAM12 = Composition((1, 2))
 LAM11 = Composition((1, 1))
@@ -41,31 +41,47 @@ class TestCoordinates:
             slice_coordinates(Composition((2, 1)))
 
 
+def at_slice(lam, idx):
+    """Slice value of one basis label, through restrict."""
+    return restrict(lam, Polynomial.variable(BasisIndex(*idx)))
+
+
 class TestEvaluateBasis:
     def test_bottom_row_gives_coordinate(self):
-        assert evaluate_basis_at_slice(LAM12, (2, 1, 0)) == pvar(1, 0)
-        assert evaluate_basis_at_slice(LAM12, (2, 2, 1)) == pvar(2, 1)
+        assert at_slice(LAM12, (2, 1, 0)) == pvar(1, 0)
+        assert at_slice(LAM12, (2, 2, 1)) == pvar(2, 1)
 
     def test_superdiagonal_gives_one(self):
-        assert evaluate_basis_at_slice(LAM12, (1, 2, 1)) == Polynomial.constant(1)
+        assert at_slice(LAM12, (1, 2, 1)) == Polynomial.zero() + 1
 
     def test_everything_else_vanishes(self):
-        assert evaluate_basis_at_slice(LAM12, (1, 1, 0)).is_zero()
-        assert evaluate_basis_at_slice(LAM23, (1, 2, 1)).is_zero()
-        assert evaluate_basis_at_slice(LAM23, (1, 1, 1)).is_zero()
+        assert at_slice(LAM12, (1, 1, 0)).is_zero()
+        assert at_slice(LAM23, (1, 2, 1)).is_zero()
+        assert at_slice(LAM23, (1, 1, 1)).is_zero()
 
     def test_inadmissible_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inadmissible label"):
+            at_slice(LAM12, (1, 2, 0))
+        with pytest.raises(ValueError, match="inadmissible label"):
             evaluate_basis_at_slice(LAM12, (1, 2, 0))
 
     def test_decreasing_raises(self):
         with pytest.raises(ValueError):
+            at_slice(Composition((2, 1)), (1, 1, 0))
+        with pytest.raises(ValueError):
             evaluate_basis_at_slice(Composition((2, 1)), (1, 1, 0))
+
+    def test_matches_oracle(self):
+        for total in range(1, 6):
+            for lam in monotone_compositions(total):
+                if lam.is_increasing:
+                    for v in basis_list(lam):
+                        assert at_slice(lam, v) == evaluate_basis_at_slice(lam, v)
 
 
 class TestRestrict:
     def test_constants_fixed(self):
-        assert restrict(LAM12, Polynomial.constant(7)) == Polynomial.constant(7)
+        assert restrict(LAM12, Polynomial.zero() + 7) == Polynomial.zero() + 7
         assert restrict(LAM12, Polynomial.zero()).is_zero()
 
     def test_invariant_examples(self):
@@ -92,10 +108,10 @@ class TestRestrict:
         }
         for _ in range(20):
             point = {c: rng.randint(-5, 5) for c in slice_coordinates(LAM23)}
-            lifted = {v: images[v].evaluate(point) for v in images}
+            lifted = {v: evaluate(images[v], point) for v in images}
             for r in range(1, 6):
                 p = elementary_invariant(LAM23, r)
-                assert restrict(LAM23, p).evaluate(point) == p.evaluate(lifted)
+                assert evaluate(restrict(LAM23, p), point) == evaluate(p, lifted)
 
 
 class TestExpectedRestriction:
@@ -152,11 +168,55 @@ class TestJacobian:
         point = {v: 0 for v in variables}
         point[BasisIndex(1, 2, 0)] = 1
         assert base_point(lam) == {BasisIndex(1, 2, 0): 1}
-        matrix = [[p.partial(v).evaluate(point) for v in variables]
+        matrix = [[evaluate(partial(p, v), point) for v in variables]
                   for p in polys]
         assert matrix == [[1, 0, 0, 1], [0, 0, -1, 0]]
         assert rational_rank([dict(enumerate(row)) for row in matrix]) == 2
         assert jacobian_detail(lam) == (True, "rank 2 of 2")
+
+    def test_rows_match_oracle(self, monkeypatch):
+        """The rows handed to rational_rank are the partials of x_1..x_N
+        at xi_0, zeros dropped, on every monotone lambda with N <= 6."""
+        captured = []
+
+        def capture(rows):
+            captured.append(rows)
+            return rational_rank(rows)
+
+        monkeypatch.setattr(slice_module, "rational_rank", capture)
+        lams = [lam for total in range(1, 7)
+                for lam in monotone_compositions(total)]
+        assert len(lams) == 44
+        for lam in lams:
+            captured.clear()
+            assert jacobian_detail(lam) == (True, f"rank {lam.N} of {lam.N}")
+            point = dict.fromkeys(basis_list(lam), 0) | base_point(lam)
+            want = []
+            for r in range(1, lam.N + 1):
+                x = elementary_invariant(lam, r)
+                row = {v: evaluate(partial(x, v), point) for v in point}
+                want.append({v: c for v, c in row.items() if c})
+            assert captured == [want], lam
+
+    def test_rows_match_oracle_on_planted_polynomials(self, monkeypatch):
+        """Terms no x_r has reach every branch of the one-pass rows: a
+        squared base-point letter, a constant, a term with two letters
+        off the base point, and a square of one off it."""
+        b, v, w = (Polynomial.variable(BasisIndex(*idx))
+                   for idx in ((1, 2, 1), (1, 1, 0), (2, 2, 1)))
+        planted = (3 * b * b + v, b * b * v - b * v * w + 2 * b, v * v + w + 5)
+        captured = []
+        monkeypatch.setattr(slice_module, "elementary_invariant",
+                            lambda lam, r: planted[r - 1])
+        monkeypatch.setattr(slice_module, "rational_rank",
+                            lambda rows: captured.append(rows) or 0)
+        jacobian_independence(LAM12)
+        point = dict.fromkeys(basis_list(LAM12), 0) | base_point(LAM12)
+        want = [{u: c for u in point if (c := evaluate(partial(x, u), point))}
+                for x in planted]
+        B, V, W = BasisIndex(1, 2, 1), BasisIndex(1, 1, 0), BasisIndex(2, 2, 1)
+        assert want == [{B: 6, V: 1}, {V: 1, B: 2}, {W: 1}]
+        assert captured == [want]
 
     def test_certified_small(self):
         for lam in (LAM11, LAM12, Composition((3,)), Composition((2, 1))):

@@ -22,8 +22,8 @@ def generators():
         ("pbw", alg.embed((1, 1, 0)), alg.zero()),
         ("polynomial", Polynomial.variable(BasisIndex(1, 1, 0)), Polynomial.zero()),
         ("free", letter, FreeElement.zero()),
-        ("upolynomial", UPolynomial({1: FreeElement.scalar(1), 0: letter}),
-         UPolynomial.zero()),
+        ("upolynomial", UPolynomial({(1, ()): 1, (0, ("a",)): 1}),
+         UPolynomial({})),
     ]
 
 
