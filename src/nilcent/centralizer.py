@@ -11,10 +11,14 @@ constants come from the shifted-Yangian bracket rule
 
     [e[i,j;r], e[k,l;s]] = d_jk e[i,l;r+s] - d_il e[k,j;r+s],
 
-with labels outside the admissible window dropped.  The sparse matrix
-model (UnitMatrix, matrix_commutator) checks the basis against e in
-verify_centralizer; the tests also check the bracket rule against matrix
-commutators with it.
+with labels outside the admissible window dropped.  structure_constants
+keeps the one bracket table.  It interns each label as its position in
+basis_list, whose lexicographic order is label order, and keeps one row
+per left argument: table[a][b] is [basis[a], basis[b]] as sorted
+(position, coefficient) pairs, and a zero bracket has no entry.  The
+sparse matrix model (UnitMatrix, matrix_commutator) checks the basis
+against e in verify_centralizer; the tests also check the bracket rule
+against matrix commutators with it.
 """
 
 from __future__ import annotations
@@ -102,38 +106,34 @@ def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Brackets of basis pairs: only pairs with nonzero bracket are stored."""
+    """The bracket table laid out in the module docstring."""
 
-    lam: Composition
-    table: dict
-
-    def bracket(self, x: BasisIndex, y: BasisIndex) -> tuple:
-        """[x, y] as a tuple of (BasisIndex, int) pairs, possibly empty."""
-        return self.table.get((x, y), ())
+    basis: tuple
+    index_of: dict
+    table: tuple
 
 
 @lru_cache(maxsize=1)
 def structure_constants(lam: Composition) -> StructureConstants:
     """Every bracket of two basis elements, from the closed formula."""
     basis = basis_list(lam)
-    admissible = set(basis)
-    table = {}
-    for a, x in enumerate(basis):
-        i, j, r = x
-        for y in basis[a + 1:]:
-            k, l, s = y
+    index_of = {x: a for a, x in enumerate(basis)}
+    table = tuple({} for _ in basis)
+    for a, (i, j, r) in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            k, l, s = basis[b]
             pairs = []
             if j == k:
-                pairs.append((BasisIndex(i, l, r + s), 1))
+                pairs.append((index_of.get((i, l, r + s)), 1))
             if i == l:
-                pairs.append((BasisIndex(k, j, r + s), -1))
+                pairs.append((index_of.get((k, j, r + s)), -1))
             expansion = accumulate(
-                {}, ((z, c) for z, c in pairs if z in admissible))
+                {}, ((z, c) for z, c in pairs if z is not None))
             if expansion:
                 terms = tuple(sorted(expansion.items()))
-                table[(x, y)] = terms
-                table[(y, x)] = tuple((z, -c) for z, c in terms)
-    return StructureConstants(lam, table)
+                table[a][b] = terms
+                table[b][a] = tuple((z, -c) for z, c in terms)
+    return StructureConstants(basis, index_of, table)
 
 
 def verify_centralizer(lam: Composition) -> Report:
@@ -150,18 +150,18 @@ def verify_centralizer(lam: Composition) -> Report:
     dim_ok = len(basis) == expected_dim and rank == expected_dim
 
     sc = structure_constants(lam)
-    graded = all(
-        z.r == x.r + y.r
-        for (x, y), terms in sc.table.items()
-        for z, _ in terms
-    )
+    label = "e[{0.i},{0.j};{0.r}]".format
+    misgraded = next((
+        f"[{label(x)}, {label(basis[b])}] has term {label(basis[z])}"
+        for x, row in zip(basis, sc.table) for b, terms in row.items()
+        for z, _ in terms if basis[z].r != x.r + basis[b].r), None)
 
     checks = (
         Check("commutes_with_nilpotent", commute,
               f"{len(basis)} basis matrices against the Jordan nilpotent"),
         Check("dimension", dim_ok,
               f"count {len(basis)}, rank {rank}, expected {expected_dim}"),
-        Check("bracket_grading", graded,
-              "every bracket term has degree r + s"),
+        Check("bracket_grading", misgraded is None,
+              misgraded or "every bracket term has degree r + s"),
     )
     return Report(f"centralizer lambda={lam}", checks)

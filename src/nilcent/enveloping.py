@@ -3,8 +3,8 @@
 Elements are finite maps from weakly increasing words in the fixed basis
 order to exact scalars.  Products are straightened by one-letter
 insertion: a letter z put between a sorted head and tail moves to its
-place in one step, and each letter x it crosses leaves sign * [x, z] in
-the place of x, with sign +1 if x stood left of z and -1 if it stood
+place in one step, and each letter x it crosses leaves sign * [z, x] in
+the place of x, with sign -1 if x stood left of z and +1 if it stood
 right of it.  Each such term is a word one letter shorter with one
 letter out of place, which is straightened the same way.  Word length
 falls at each level, so the reduction terminates, and by the diamond
@@ -14,8 +14,9 @@ sparse.derivation_images and puts each bracket term back in order by the
 same insertion.  Insertions into unsorted words are memoised per word
 inside a per-composition context, pbw_algebra(lam), which holds the memo
 and the central elements built so far; it lives until another
-composition is asked for.  Basis labels are interned as small integers
-internally; all public interfaces speak BasisIndex.
+composition is asked for.  Words are of basis positions; the basis, its
+index and the bracket rows come from structure_constants, which interns
+them, and all public interfaces speak BasisIndex.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .centralizer import BasisIndex, basis_list, structure_constants
+from .centralizer import BasisIndex, structure_constants
 from .composition import (
     Composition,
     SubComposition,
@@ -40,16 +41,11 @@ class PbwAlgebra:
     """Multiplication context for one composition; obtain via pbw_algebra()."""
 
     def __init__(self, lam: Composition):
+        sc = structure_constants(lam)
         self.lam = lam
-        self.basis = basis_list(lam)
-        self.index_of = {idx: t for t, idx in enumerate(self.basis)}
-        # brackets by their second argument: [x, y] is brackets_with[y][x]
-        brackets_with: list[dict] = [{} for _ in self.basis]
-        for (x, y), terms in structure_constants(lam).table.items():
-            brackets_with[self.index_of[y]][self.index_of[x]] = tuple(
-                (self.index_of[z], c) for z, c in terms
-            )
-        self._brackets_with = brackets_with
+        self.basis = sc.basis
+        self.index_of = sc.index_of
+        self.table = sc.table
         self._nf_memo: dict[tuple, dict] = {}
         self._central: dict[int, dict] = {}
 
@@ -94,15 +90,15 @@ class PbwAlgebra:
         s, h = head + tail, len(head)
         if head and head[-1] > z:
             p = bisect_right(head, z)
-            crossed, sign = range(p, h), 1
+            crossed, sign = range(p, h), -1
         else:
             p = h + bisect_left(tail, z)
-            crossed, sign = range(h, p), -1
-        # x z = z x + [x, z] left of z, and z x = x z - [x, z] right of it
+            crossed, sign = range(h, p), 1
+        # x z = z x - [z, x] left of z, and z x = x z + [z, x] right of it
         result = {s[:p] + (z,) + s[p:]: 1}
-        col = self._brackets_with[z]
+        row = self.table[z]
         for q in crossed:
-            terms = col.get(s[q])
+            terms = row.get(s[q])
             if terms:
                 left, right = s[:q], s[q + 1:]
                 for w, c in terms:
@@ -164,14 +160,14 @@ class PbwElement(SparseElement):
 def basis_commutators(a: PbwElement):
     """Yield (idx, [a, e_idx]) for every basis label, in basis_list order.
 
-    [x_1...x_k, y] = sum_t x_1...[x_t, y]...x_k, so ad y acts as a
-    derivation whose bracket terms are put back in order by one-letter
-    insertion.
+    [y, x_1...x_k] = sum_t x_1...[y, x_t]...x_k, so ad y acts as a
+    derivation that reads the bracket row of y, and its terms are put
+    back in order by one-letter insertion; [a, e_y] is its negative.
     """
     alg = a.algebra
-    derivations = ((idx, col.get) for idx, col in zip(alg.basis, alg._brackets_with))
+    derivations = ((idx, row.get) for idx, row in zip(alg.basis, alg.table))
     for idx, terms in derivation_images(a.terms, derivations, alg._insert):
-        yield idx, PbwElement(alg, terms)
+        yield idx, PbwElement(alg, {w: -c for w, c in terms.items()})
 
 
 def product_sum(lam: Composition, terms: dict) -> PbwElement:

@@ -2,10 +2,10 @@
 
 The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
-filtration degree.  The adjoint action extends the bracket as a
-derivation; adjoint_actions applies that of every basis generator to one
-polynomial by the derivation walk of sparse.derivation_images, the one
-the centrality check runs in the enveloping algebra, and
+filtration degree.  adjoint_actions applies ad of every basis generator,
+the derivation extending the bracket, to one polynomial by the walk of
+sparse.derivation_images that the centrality check also runs: on words
+of basis positions, reading the bracket rows of structure_constants.
 verify_invariant checks that each one kills an elementary invariant.
 Polynomial supplies ring arithmetic only: the slice restriction and the
 Jacobian read what they need off its terms.
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .centralizer import BasisIndex, basis_list, structure_constants
+from .centralizer import BasisIndex, structure_constants
 from .composition import MAX_TOTAL, Composition, enumerate_mu
 from .linalg import column_determinant, format_scalar
 from .reports import Report, residual_check
@@ -105,12 +105,14 @@ def adjoint_actions(lam: Composition, p: Polynomial):
 
     ad x is the derivation extending v -> [x, v] on variables: each
     bracket term replaces one variable of a monomial, which is sorted
-    back into place.
+    back into place.  Positions sort as the labels do.
     """
     sc = structure_constants(lam)
-    derivations = ((x, partial(sc.bracket, x)) for x in basis_list(lam))
-    for x, terms in derivation_images(p.terms, derivations, _sorted_insert):
-        yield x, Polynomial(terms)
+    basis, index_of = sc.basis, sc.index_of
+    words = {tuple(index_of[v] for v in mono): c for mono, c in p.terms.items()}
+    derivations = ((x, row.get) for x, row in zip(basis, sc.table))
+    for x, terms in derivation_images(words, derivations, _sorted_insert):
+        yield x, Polynomial({tuple(basis[t] for t in w): c for w, c in terms.items()})
 
 
 def _sorted_insert(head: tuple, v, tail: tuple) -> dict:

@@ -72,6 +72,14 @@ def expand_in_basis(lam, mat) -> dict:
     return out
 
 
+def bracket(lam, x, y) -> tuple:
+    """[x, y] as (BasisIndex, coefficient) pairs, read from the bracket
+    table of structure_constants; empty when the bracket is zero."""
+    sc = structure_constants(lam)
+    terms = sc.table[sc.index_of[x]].get(sc.index_of[y], ())
+    return tuple((sc.basis[z], c) for z, c in terms)
+
+
 def transposition_normal_form(alg, word: tuple) -> dict:
     """PBW normal form of a word of interned labels, one transposition at a time.
 
@@ -86,8 +94,7 @@ def transposition_normal_form(alg, word: tuple) -> dict:
     x, y = word[pos], word[pos + 1]
     head, tail = word[:pos], word[pos + 2:]
     result = dict(transposition_normal_form(alg, head + (y, x) + tail))
-    bracket = structure_constants(alg.lam).bracket(alg.basis[x], alg.basis[y])
-    for z, c in bracket:
+    for z, c in bracket(alg.lam, alg.basis[x], alg.basis[y]):
         accumulate(result, transposition_normal_form(
             alg, head + (alg.index_of[z],) + tail).items(), c)
     return result
@@ -109,7 +116,6 @@ def adjoint_action(lam, x, p) -> Polynomial:
 
     The reference for invariants.adjoint_actions.
     """
-    sc = structure_constants(lam)
     x = BasisIndex(*x)
     if not is_admissible(lam, x):
         raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
@@ -117,7 +123,7 @@ def adjoint_action(lam, x, p) -> Polynomial:
         (tuple(sorted(mono[:t] + mono[t + 1:] + (z,))), c * cz)
         for mono, c in p.terms.items()
         for t, v in enumerate(mono)
-        for z, cz in sc.bracket(x, v)
+        for z, cz in bracket(lam, x, v)
     )))
 
 
@@ -251,16 +257,15 @@ def pairing_consistency(lam) -> Report:
     minus the coefficient of the dual of v in the coadjoint action of x on
     the dual of y.
     """
-    sc = structure_constants(lam)
     basis = basis_list(lam)
     checks = []
     for x in basis:
         bad = ""
         for v in basis:
-            bracket = dict(sc.bracket(x, v))
+            xv = dict(bracket(lam, x, v))
             dual_v = DualIndex(*v)
             for y in basis:
-                lhs = bracket.get(y, 0)
+                lhs = xv.get(y, 0)
                 rhs = -coadjoint_action(lam, x, DualIndex(*y)).get(dual_v, 0)
                 if lhs != rhs:
                     bad = f"v={tuple(v)}, y={tuple(y)}: {lhs} != {rhs}"

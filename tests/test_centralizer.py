@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcent import centralizer
 from nilcent.centralizer import (
     BasisIndex,
     UnitMatrix,
@@ -18,7 +20,7 @@ from nilcent.centralizer import (
 )
 from nilcent.composition import Composition, monotone_compositions
 
-from oracles import box_position, expand_in_basis
+from oracles import box_position, bracket, expand_in_basis
 
 
 def all_compositions(max_total):
@@ -125,6 +127,20 @@ class TestBasisElements:
             assert verify_centralizer(lam).ok
         rep = verify_centralizer(Composition((4, 3, 2)))
         assert rep.ok and "count 23" in rep.checks[1].detail
+        assert rep.checks[2].detail == "every bracket term has degree r + s"
+
+    def test_misgraded_bracket_names_a_witness(self, monkeypatch):
+        lam = Composition((1, 2))
+        sc = structure_constants(lam)
+        a, b, z = (sc.index_of[BasisIndex(*x)]
+                   for x in ((1, 1, 0), (1, 2, 1), (2, 2, 0)))
+        table = tuple(dict(row) for row in sc.table)
+        table[a][b] = ((z, 1),)
+        monkeypatch.setattr(centralizer, "structure_constants",
+                            lambda lam: replace(sc, table=table))
+        rep = verify_centralizer(lam)
+        assert [c.name for c in rep.failures()] == ["bracket_grading"]
+        assert rep.checks[2].detail == "[e[1,1;0], e[1,2;1]] has term e[2,2;0]"
 
 
 class TestExpandInBasis:
@@ -152,25 +168,34 @@ class TestExpandInBasis:
 
 class TestStructureConstants:
     def test_examples(self):
-        sc = structure_constants(Composition((1, 2)))
-        assert sc.bracket(BasisIndex(1, 1, 0), BasisIndex(1, 2, 1)) == (
+        lam = Composition((1, 2))
+        assert bracket(lam, BasisIndex(1, 1, 0), BasisIndex(1, 2, 1)) == (
             (BasisIndex(1, 2, 1), 1),)
-        sc2 = structure_constants(Composition((1, 1)))
-        assert dict(sc2.bracket(BasisIndex(2, 1, 0), BasisIndex(1, 2, 0))) == {
+        lam2 = Composition((1, 1))
+        assert dict(bracket(lam2, BasisIndex(2, 1, 0), BasisIndex(1, 2, 0))) == {
             BasisIndex(1, 1, 0): -1, BasisIndex(2, 2, 0): 1}
 
     def test_self_bracket_empty(self):
-        sc = structure_constants(Composition((2, 2)))
-        for idx in basis_list(Composition((2, 2))):
-            assert sc.bracket(idx, idx) == ()
+        lam = Composition((2, 2))
+        for idx in basis_list(lam):
+            assert bracket(lam, idx, idx) == ()
+
+    def test_one_row_per_left_argument(self):
+        lam = Composition((1, 2, 2))
+        sc = structure_constants(lam)
+        assert sc.basis is basis_list(lam)
+        assert len(sc.table) == len(sc.basis)
+        assert all(sc.basis[a] == x for x, a in sc.index_of.items())
+        for row in sc.table:
+            for terms in row.values():
+                assert terms and list(terms) == sorted(terms)
 
     def test_antisymmetry_and_grading(self):
         for lam in all_compositions(5):
-            sc = structure_constants(lam)
             basis = basis_list(lam)
             for x, y in itertools.product(basis, repeat=2):
-                forward = dict(sc.bracket(x, y))
-                backward = dict(sc.bracket(y, x))
+                forward = dict(bracket(lam, x, y))
+                backward = dict(bracket(lam, y, x))
                 assert forward == {z: -c for z, c in backward.items()}
                 for z in forward:
                     assert z.r == x.r + y.r
@@ -181,20 +206,18 @@ class TestStructureConstants:
             lam for total in range(8, 11)
             for lam in monotone_compositions(total) if lam.n <= 3]
         for lam in lams:
-            sc = structure_constants(lam)
             mats = {idx: basis_element(lam, idx) for idx in basis_list(lam)}
             for (x, mx), (y, my) in itertools.product(mats.items(), repeat=2):
                 expected = expand_in_basis(lam, matrix_commutator(mx, my))
-                assert dict(sc.bracket(x, y)) == expected, (lam, x, y)
+                assert dict(bracket(lam, x, y)) == expected, (lam, x, y)
 
     def test_jacobi_small(self):
         for lam in all_compositions(4):
-            sc = structure_constants(lam)
             basis = basis_list(lam)
 
             def bracket_into(x, y, acc, outer):
-                for z, c in sc.bracket(x, y):
-                    for w, c2 in sc.bracket(outer, z):
+                for z, c in bracket(lam, x, y):
+                    for w, c2 in bracket(lam, outer, z):
                         acc[w] = acc.get(w, 0) + c * c2
 
             for x, y, z in itertools.product(basis, repeat=3):

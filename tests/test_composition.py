@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcent.centralizer import basis_list
 from nilcent.composition import (
     Composition,
     SubComposition,
@@ -84,6 +85,14 @@ class TestInvariantDegrees:
             for k in range(1, lam.n + 1):
                 assert degrees.count(k) == lam.part(lam.n + 1 - k)
             assert invariant_degrees(lam.reversed()) == degrees
+
+    def test_ppy_degree_sum(self):
+        """2 * sum of the d_r = dim g_e + N (Panyushev-Premet-Yakimova)."""
+        lams = list(all_compositions(10))
+        assert len(lams) == 249
+        for lam in lams:
+            dim = len(basis_list(lam))
+            assert 2 * sum(invariant_degrees(lam)) == dim + lam.N, lam
 
     def test_matches_min_length_exhaustively(self):
         for lam in all_compositions(8):

@@ -22,7 +22,7 @@ from nilcent.enveloping import (
 )
 
 from conftest import compositions, embed, pbw_elements
-from oracles import transposition_normal_form, transposition_product
+from oracles import bracket, transposition_normal_form, transposition_product
 
 LAM12 = Composition((1, 2))
 LAM11 = Composition((1, 1))
@@ -101,12 +101,11 @@ class TestMultiplication:
         for total in range(1, 7):
             for lam in monotone_compositions(total):
                 alg = pbw_algebra(lam)
-                sc = structure_constants(lam)
                 basis = basis_list(lam)
                 for x, y in itertools.product(basis, repeat=2):
                     lhs = alg.embed(x) * alg.embed(y) - alg.embed(y) * alg.embed(x)
                     rhs = alg.zero()
-                    for z, c in sc.bracket(x, y):
+                    for z, c in bracket(lam, x, y):
                         rhs = rhs + c * alg.embed(z)
                     assert lhs == rhs
 
@@ -230,12 +229,11 @@ class TestCommutator:
     def test_jacobi(self, lam, data):
         """[[a, x], y] - [[a, y], x] = [a, [x, y]] for generators x, y."""
         a = data.draw(pbw_elements(lam))
-        sc = structure_constants(lam)
         ca = commutators(a)
         nested = {x: commutators(c) for x, c in ca.items()}
         for x, y in itertools.product(basis_list(lam), repeat=2):
             rhs = pbw_algebra(lam).zero()
-            for z, c in sc.bracket(x, y):
+            for z, c in bracket(lam, x, y):
                 rhs = rhs + c * ca[z]
             assert nested[x][y] - nested[y][x] == rhs
 
@@ -314,6 +312,14 @@ class TestCentralElements:
         assert filtration_degree(alg.scalar(5)) == 0
         with pytest.raises(ValueError):
             filtration_degree(alg.zero())
+
+    def test_reads_the_one_bracket_table(self):
+        lam = Composition((1, 2, 2))
+        pbw_algebra.cache_clear()
+        sc = structure_constants(lam)
+        alg = pbw_algebra(lam)
+        assert alg.table is sc.table
+        assert alg.basis is sc.basis and alg.index_of is sc.index_of
 
     def test_evicted_algebra_is_freed_at_once(self):
         """The central elements an algebra keeps do not point back at it,

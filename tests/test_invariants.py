@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcent import invariants
-from nilcent.centralizer import BasisIndex, basis_list, structure_constants
+from nilcent.centralizer import BasisIndex, basis_list
 from nilcent.composition import Composition, invariant_degrees, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.invariants import (
@@ -21,6 +21,7 @@ from conftest import compositions, embed, pbw_elements, polynomials
 from oracles import (
     DualIndex,
     adjoint_action,
+    bracket,
     coadjoint_action,
     dual_index_or_none,
     evaluate,
@@ -127,15 +128,18 @@ class TestElementaryInvariants:
                     assert top_symbol(z) == elementary_invariant(lam, r)
 
     def test_homogeneity(self):
-        """Every monomial of x_r has d_r factors of total loop weight r - d_r."""
-        for total in range(1, 6):
+        """Every monomial of x_r has d_r factors and Kazhdan degree r,
+        e[i,j;s] counting s + 1, on every monotone lam with N <= 6."""
+        monomials = 0
+        for total in range(1, 7):
             for lam in monotone_compositions(total):
                 degrees = invariant_degrees(lam)
                 for r in range(1, total + 1):
-                    d = degrees[r - 1]
                     for mono in elementary_invariant(lam, r).terms:
-                        assert len(mono) == d
-                        assert sum(v.r for v in mono) == r - d
+                        assert len(mono) == degrees[r - 1]
+                        assert sum(v.r + 1 for v in mono) == r, (lam, r, mono)
+                        monomials += 1
+        assert monomials == 3589
 
 
 class TestAdjointAction:
@@ -167,14 +171,13 @@ class TestAdjointAction:
         """ad[x,y] agrees with ad x ad y - ad y ad x, exhaustively for N <= 4."""
         for total in range(1, 5):
             for lam in monotone_compositions(total):
-                sc = structure_constants(lam)
                 basis = basis_list(lam)
                 for v in basis:
                     once = ad(lam, Polynomial.variable(v))
                     twice = {y: ad(lam, q) for y, q in once.items()}
                     for x, y in itertools.product(basis, repeat=2):
                         lhs = Polynomial.zero()
-                        for z, c in sc.bracket(x, y):
+                        for z, c in bracket(lam, x, y):
                             lhs = lhs + c * once[z]
                         assert lhs == twice[y][x] - twice[x][y]
 
