@@ -81,7 +81,7 @@ def is_admissible(lam: Composition, idx: BasisIndex) -> bool:
 def unit_support(lam: Composition, idx: BasisIndex) -> tuple[tuple[int, int], ...]:
     """The matrix units (h, k) summed by e[i,j;r], in column order."""
     if not is_admissible(lam, idx):
-        raise ValueError(f"inadmissible label {idx} for lambda={lam}")
+        raise ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
     i, j, r = idx
     si, sj = row_start(lam, i), row_start(lam, j)
     count = min(lam.part(i), lam.part(j) - r)

@@ -34,7 +34,7 @@ EXIT_RESOURCE = 4
 # The symbol-determinant checks join the sweep only for increasing
 # compositions up to this N.  Cost does not set the cap: all three checks
 # for 1^6 (z_polynomial, the expansion and the graded image, building the
-# central elements included) take about 0.38 s (2-core x86-64,
+# central elements included) take about 0.28 s (2-core x86-64,
 # Python 3.11).  Raising it adds rows to the sweep output, whose recorded
 # benchmark digests and acceptance counts then change with it.
 EXPANSION_CAP = 5

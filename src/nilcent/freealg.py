@@ -116,12 +116,12 @@ def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
     Expanded in u: sum over s of T[i,j;s] (u - j + 1)^(lam_j - s).
     """
     width = lam.part(j)
-    shift = -(j - 1)
+    offset = -(j - 1)
     terms: dict = {}
     for s in range(width + 1):
         m = width - s
         for w, c in t_symbol(lam, i, j, s).terms.items():
-            accumulate(terms, (((k, w), comb(m, k) * shift ** (m - k))
+            accumulate(terms, (((k, w), comb(m, k) * offset ** (m - k))
                                for k in range(m + 1)), c)
     return UPolynomial(terms)
 

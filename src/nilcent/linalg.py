@@ -1,10 +1,12 @@
 """Exact scalars, the column determinant and a sparse exact rank.
 
 Scalars throughout the package are Python ints or fractions.Fraction; no
-floating point is used anywhere.  rational_rank reads each row as a map
-from column to scalar, so a sparse row costs only its nonzero entries; it
-keeps its own drop-if-zero update because sparse, home of accumulate,
-imports this module.
+floating point is used anywhere.  column_determinant expands by row
+subsets, so each minor on the leading columns is built once and shared by
+every completion.  rational_rank reads each row as a map from column to
+scalar, so a sparse row costs only its nonzero entries; it keeps its own
+drop-if-zero update because sparse, home of accumulate, imports this
+module.
 """
 
 from __future__ import annotations
@@ -52,35 +54,31 @@ def column_determinant(matrix):
 
     Factors multiply in column order, so entries may come from a
     noncommutative ring; they need +, -, * and a truth value that is false
-    exactly at zero.  Rows are chosen column by column, depth first, with
-    the product of the columns so far shared by every completion; choosing
-    the k-th smallest remaining row adds k inversions, which gives the sign,
-    and a zero entry prunes every permutation through it.
+    exactly at zero.  One loop over the columns keeps minors, a map from a
+    row set R (a bitmask) to the column determinant of those rows and the
+    first |R| columns, and extends each by every row i outside R:
+        F(R | {i}) += (-1)^#{j in R : j > i} * F(R) * m[i][|R|].
+    A zero entry, or a minor that has cancelled to zero, is never extended.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("column determinant needs a nonempty square matrix")
-    total = rows[0][0] * 0
-
-    def expand(col, remaining, prod, negative):
-        nonlocal total
-        for k, row in enumerate(remaining):
-            entry = rows[row][col]
-            if not entry:
-                continue
-            term = entry if prod is None else prod * entry
-            sign = negative != (k % 2 == 1)
-            if col + 1 == n:
-                total = total - term if sign else total + term
-            else:
-                expand(col + 1, remaining[:k] + remaining[k + 1:], term, sign)
-
-    expand(0, tuple(range(n)), None, False)
-    # expand refers to itself through its closure; breaking that cycle
-    # frees the copy of the matrix now, not at the next cyclic collection
-    del expand
-    return total
+    minors = {1 << i: row[0] for i, row in enumerate(rows) if row[0]}
+    for col in range(1, n):
+        extended: dict = {}
+        for mask, minor in minors.items():
+            for i, row in enumerate(rows):
+                entry = row[col]
+                if mask >> i & 1 or not entry:
+                    continue
+                if (mask >> i).bit_count() & 1:
+                    entry = -entry
+                key = mask | 1 << i
+                term = minor * entry
+                extended[key] = extended[key] + term if key in extended else term
+        minors = {mask: minor for mask, minor in extended.items() if minor}
+    return minors.get((1 << n) - 1, rows[0][0] * 0)
 
 
 def rational_rank(rows) -> int:

@@ -92,6 +92,9 @@ class TestBasisElements:
             assert not is_admissible(lam, BasisIndex(*bad))
             with pytest.raises(ValueError):
                 basis_element(lam, BasisIndex(*bad))
+        with pytest.raises(ValueError) as info:
+            unit_support(lam, BasisIndex(1, 2, 5))
+        assert str(info.value) == "inadmissible label (1, 2, 5) for lambda=1,2"
 
     def test_basis_list_examples(self):
         lam = Composition((1, 2))

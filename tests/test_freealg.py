@@ -72,6 +72,26 @@ class TestFreeElement:
         assert repr(FreeElement.zero()) == "0"
 
 
+def leibniz(m):
+    """Sum of sign(p) * m[p0][0] * m[p1][1] * ..., factors in column order."""
+    n = len(m)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        prod = perm_sign(p)
+        for col in range(n):
+            prod = prod * m[p[col]][col]
+        total = total + prod
+    return total
+
+
+def random_free_matrix(rng, n):
+    """n x n free-algebra matrix, about 30% of its entries zero."""
+    return [[FreeElement.zero() if rng.random() < 0.3
+             else letter(rng.choice("abc")) * rng.randint(1, 3)
+             + rng.randint(-2, 2)
+             for _ in range(n)] for _ in range(n)]
+
+
 class TestColumnDeterminant:
     def test_one_by_one(self):
         assert column_determinant([[letter("a")]]) == letter("a")
@@ -92,27 +112,45 @@ class TestColumnDeterminant:
         for n in (2, 3, 4):
             for _ in range(10):
                 m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-                leibniz = sum(
-                    perm_sign(p)
-                    * __import__("math").prod(m[i][p[i]] for i in range(n))
-                    for p in itertools.permutations(range(n))
-                )
-                assert column_determinant(m) == leibniz
+                assert column_determinant(m) == leibniz(m)
         # free-algebra entries, some zero: the factors of each term must
         # multiply in column order while zero entries prune permutations
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             for _ in range(5):
-                m = [[FreeElement.zero() if rng.random() < 0.3
-                      else letter(rng.choice("abc")) * rng.randint(1, 3)
-                      + rng.randint(-2, 2)
-                      for _ in range(n)] for _ in range(n)]
-                leibniz = FreeElement.zero()
-                for p in itertools.permutations(range(n)):
-                    prod = FreeElement.scalar(perm_sign(p))
-                    for col in range(n):
-                        prod = prod * m[p[col]][col]
-                    leibniz = leibniz + prod
-                assert column_determinant(m) == leibniz
+                m = random_free_matrix(rng, n)
+                assert column_determinant(m) == leibniz(m)
+
+    def test_cancelled_leading_minors(self):
+        # entries that are polynomials in one letter commute, so the
+        # leading two-column minor on rows {0, 1} cancels and is dropped
+        # before the third column; the other minors carry the result
+        a = letter("a")
+        x, y = a * a - 2, 3 * a * a * a + a
+        rng = random.Random(5)
+        for n in (3, 4, 6):
+            m = random_free_matrix(rng, n)
+            m[0][0] = m[0][1] = x
+            m[1][0] = m[1][1] = y
+            det = column_determinant(m)
+            assert det == leibniz(m)
+            assert not det.is_zero()
+        # two equal leading columns cancel every leading minor
+        for n in (3, 4):
+            column = [a * k + k * k * a * a for k in range(1, n + 1)]
+            m = random_free_matrix(rng, n)
+            for i in range(n):
+                m[i][0] = m[i][1] = column[i]
+            assert column_determinant(m).is_zero()
+            assert leibniz(m).is_zero()
+
+    def test_matches_leibniz_in_the_enveloping_algebra(self):
+        lam = Composition((1, 1, 1, 1))
+        tilde = pbw_algebra(lam).tilde
+        m = [[tilde(BasisIndex(i, j, 0)) for j in range(1, 5)]
+             for i in range(1, 5)]
+        det = column_determinant(m)
+        assert not det.is_zero()
+        assert det == leibniz(m)
 
     def test_leaves_no_reference_cycle(self):
         gc.collect()
