@@ -18,7 +18,9 @@ per left argument: table[a][b] is [basis[a], basis[b]] as sorted
 (position, coefficient) pairs, and a zero bracket has no entry.  The
 sparse matrix model (UnitMatrix, matrix_commutator) checks the basis
 against e in verify_centralizer; the tests also check the bracket rule
-against matrix commutators with it.
+against matrix commutators with it.  lie_generators picks basis labels
+that generate g_e as a Lie algebra and certifies them by the rank of
+their bracket closure; the centrality and invariance checks run on them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .composition import Composition, shift
-from .linalg import rational_rank
+from .linalg import echelon_add, rational_rank
 from .reports import Check, Report
 from .sparse import SparseElement, accumulate
 
@@ -134,6 +136,50 @@ def structure_constants(lam: Composition) -> StructureConstants:
                 table[a][b] = terms
                 table[b][a] = tuple((z, -c) for z, c in terms)
     return StructureConstants(basis, index_of, table)
+
+
+@lru_cache(maxsize=1)
+def lie_generators(lam: Composition) -> tuple[int, ...]:
+    """Positions of a set S of basis labels that generates g_e as a Lie
+    algebra, certified by rank.
+
+    The labels are walked in the order (r, i == j, |i - j|, position), and
+    one joins S when it lies outside the span V found so far.  V is then
+    closed under ad S with the bracket table: the bracket of each
+    generator with each vector spanning V is reduced by echelon_add, and
+    one that adds a pivot spans V too.  A closed V is the Lie subalgebra
+    generated by S, so the walk can stop as soon as V has rank dim g_e.
+    """
+    sc = structure_constants(lam)
+    basis, table = sc.basis, sc.table
+    dim = len(basis)
+    order = sorted(range(dim), key=lambda a: (
+        basis[a].r, basis[a].i == basis[a].j, abs(basis[a].i - basis[a].j), a))
+    pivots: dict = {}
+    gens: list = []
+    span: list = []
+    for a in order:
+        if len(pivots) == dim:
+            break
+        unit = {a: 1}
+        if not echelon_add(pivots, unit):
+            continue
+        gens.append(a)
+        # [s, e_a] = -[a, e_s], and e_s spans V, so a against V is enough
+        pending = [(a, v) for v in span]
+        span.append(unit)
+        while pending and len(pivots) < dim:
+            s, v = pending.pop()
+            row = table[s]
+            image = accumulate({}, ((z, c * cv) for b, cv in v.items()
+                                    for z, c in row.get(b, ())))
+            if echelon_add(pivots, image):
+                pending.extend((t, image) for t in gens)
+                span.append(image)
+    if len(pivots) < dim:
+        raise RuntimeError(f"the basis of lambda={lam} spans rank "
+                           f"{len(pivots)} of {dim} under its own brackets")
+    return tuple(gens)
 
 
 def verify_centralizer(lam: Composition) -> Report:

@@ -3,8 +3,15 @@
 Scalars throughout the package are Python ints or fractions.Fraction; no
 floating point is used anywhere.  column_determinant expands by row
 subsets, so each minor on the leading columns is built once and shared by
-every completion.  rational_rank reads each row as a map from column to
-scalar, so a sparse row costs only its nonzero entries; it keeps its own
+every completion.  echelon_add is the one elimination: it reads each row
+as a map from column to scalar, so a sparse row costs only its nonzero
+entries, and it reduces fraction-free, so integer rows never become
+Fractions.  rational_rank is a loop over it, and so is the rank that
+certifies a Lie generating set in centralizer.lie_generators.  The
+centrality and invariance checks run on that set alone, and deduce the
+rows of the other basis elements: the elements of g_e that commute with
+z_r, or that kill x_r under ad, form a Lie subalgebra, which is all of
+g_e once it holds a generating set.  echelon_add keeps its own
 drop-if-zero update because sparse, home of accumulate, imports this
 module.
 """
@@ -12,6 +19,7 @@ module.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Scalar = (int, Fraction)
 
@@ -81,29 +89,45 @@ def column_determinant(matrix):
     return minors.get((1 << n) - 1, rows[0][0] * 0)
 
 
-def rational_rank(rows) -> int:
-    """Rank of a matrix whose rows map columns to exact scalars.
+def echelon_add(pivots: dict, row: dict) -> bool:
+    """Reduce row against pivots; keep what is left as a new pivot row.
 
-    Zero entries may be left out, and columns need only be comparable.
-    Forward elimination: each row is reduced against the pivot rows found
-    so far, smallest column first, and what is left, if anything, becomes a
-    pivot row at its smallest column.
+    pivots maps a column to the row whose smallest column it is.  A row
+    maps columns to exact scalars; zero entries may be left out, and
+    columns need only be comparable.  The reduction is fraction-free:
+    with a the pivot's entry and b the row's entry at the row's smallest
+    column, row <- a * row - b * pivot.  When a and b are ints they are
+    first divided by their gcd and a made positive, so integer rows stay
+    integer and a unit pivot entry costs no scaling.  The caller's row is
+    not changed.  Returns whether a pivot was added, that is, whether the
+    row lay outside the span of the pivot rows.
     """
+    row = {col: v for col, v in row.items() if v}
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            pivots[col] = row
+            return True
+        a, b = pivot[col], row[col]
+        if type(a) is int and type(b) is int:
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+        if a != 1:
+            row = {c: a * v for c, v in row.items()}
+        for c, v in pivot.items():
+            w = row.get(c, 0) - b * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+    return False
+
+
+def rational_rank(rows) -> int:
+    """Rank of a matrix whose rows map columns to exact scalars, by
+    echelon_add."""
     pivots: dict = {}
     for row in rows:
-        row = {col: v for col, v in row.items() if v}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = Fraction(1) / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                break
-            factor = row[col]
-            for c, v in pivot.items():
-                w = row.get(c, 0) - factor * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
+        echelon_add(pivots, row)
     return len(pivots)

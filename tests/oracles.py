@@ -7,22 +7,26 @@ check on random instances.
 
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from nilcent import enveloping, invariants
 from nilcent.centralizer import (
     BasisIndex,
+    basis_element,
     basis_list,
     is_admissible,
+    matrix_commutator,
     structure_constants,
     unit_support,
 )
 from nilcent.composition import weight_subcompositions
-from nilcent.enveloping import PbwElement, pbw_algebra
+from nilcent.enveloping import PbwElement, basis_commutators, pbw_algebra
 from nilcent.freealg import FreeElement, t_symbol
-from nilcent.invariants import Polynomial
+from nilcent.invariants import Polynomial, adjoint_actions
 from nilcent.linalg import column_determinant
-from nilcent.reports import Check, Report
+from nilcent.reports import Check, Report, residual_check
 from nilcent.slice import PVar, base_point
 from nilcent.sparse import accumulate
 
@@ -78,6 +82,83 @@ def bracket(lam, x, y) -> tuple:
     sc = structure_constants(lam)
     terms = sc.table[sc.index_of[x]].get(sc.index_of[y], ())
     return tuple((sc.basis[z], c) for z, c in terms)
+
+
+def normalising_add(pivots: dict, row: dict) -> bool:
+    """Reduce row against pivot rows that each lead with 1; keep what is
+    left, scaled to lead with 1, as a new pivot row.
+
+    The Fraction reference for linalg.echelon_add, which reduces
+    fraction-free.  Returns whether a pivot was added.
+    """
+    row = {col: v for col, v in row.items() if v}
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            inv = Fraction(1) / row[col]
+            pivots[col] = {c: v * inv for c, v in row.items()}
+            return True
+        factor = row[col]
+        for c, v in pivot.items():
+            w = row.get(c, 0) - factor * v
+            if w:
+                row[c] = w
+            else:
+                row.pop(c, None)
+    return False
+
+
+def normalising_rank(rows) -> int:
+    """Rank by normalising_add; the reference for linalg.rational_rank."""
+    pivots: dict = {}
+    for row in rows:
+        normalising_add(pivots, row)
+    return len(pivots)
+
+
+def lie_closure_rank(lam, generators) -> int:
+    """Dimension of the Lie algebra that the basis matrices of the given
+    labels generate inside gl_N.
+
+    Iterated matrix commutators [s_1, [s_2, ... [s_(k-1), s_k]]], level by
+    level: each level brackets every generator with the matrices of the
+    level before that raised the rank, and the rank is kept by
+    normalising_add over matrix units.  Neither the bracket table nor
+    echelon_add is used.  The reference for centralizer.lie_generators.
+    """
+    gens = [basis_element(lam, idx) for idx in generators]
+    pivots: dict = {}
+    level = [g for g in gens if normalising_add(pivots, g.terms)]
+    while level:
+        level = [c for s in gens for m in level
+                 for c in (matrix_commutator(s, m),)
+                 if normalising_add(pivots, c.terms)]
+    return len(pivots)
+
+
+def central_report_all_labels(lam, r) -> Report:
+    """verify_central as a walk over every basis label, each row with its
+    own residual; the reference for its walk over lie_generators."""
+    z = enveloping.central_element(lam, r)
+    labels = range(len(z.algebra.basis))
+    checks = tuple(
+        residual_check(f"[z_{r}, e[{idx.i},{idx.j};{idx.r}]] = 0", c)
+        for idx, c in basis_commutators(z, labels))
+    return Report(
+        f"centrality lambda={lam} r={r} ({len(z.terms)} normal-form terms)",
+        checks)
+
+
+def invariant_report_all_labels(lam, r) -> Report:
+    """verify_invariant as a walk over every basis label, each row with
+    its own residual; the reference for its walk over lie_generators."""
+    p = invariants.elementary_invariant(lam, r)
+    labels = range(len(basis_list(lam)))
+    checks = tuple(
+        residual_check(f"ad e[{idx.i},{idx.j};{idx.r}] kills x_{r}", q)
+        for idx, q in adjoint_actions(lam, p, labels))
+    return Report(f"invariance lambda={lam} r={r}", checks)
 
 
 def transposition_normal_form(alg, word: tuple) -> dict:

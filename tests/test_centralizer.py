@@ -12,6 +12,7 @@ from nilcent.centralizer import (
     basis_element,
     basis_list,
     is_admissible,
+    lie_generators,
     matrix_commutator,
     nilpotent_matrix,
     structure_constants,
@@ -20,7 +21,7 @@ from nilcent.centralizer import (
 )
 from nilcent.composition import Composition, monotone_compositions
 
-from oracles import box_position, bracket, expand_in_basis
+from oracles import box_position, bracket, expand_in_basis, lie_closure_rank
 
 
 def all_compositions(max_total):
@@ -245,3 +246,53 @@ class TestUnitMatrix:
         assert A + B == B + A
         assert (A - A).is_zero()
         assert matrix_commutator(A, A).is_zero()
+
+
+class TestLieGenerators:
+    @pytest.mark.parametrize("parts, count, dim", [
+        ((1,) * 7, 13, 49), ((2, 2, 2, 2), 9, 32), ((2, 4, 4), 10, 26),
+        ((1,) * 10, 19, 100)])
+    def test_generator_counts(self, parts, count, dim):
+        lam = Composition(parts)
+        gens = lie_generators(lam)
+        assert (len(gens), len(basis_list(lam))) == (count, dim)
+        assert len(set(gens)) == count
+
+    def test_walk_order(self):
+        """Labels join in the order (r, i == j, |i - j|, position)."""
+        for lam in all_compositions(6):
+            basis = basis_list(lam)
+            keys = [(basis[a].r, basis[a].i == basis[a].j,
+                     abs(basis[a].i - basis[a].j), a)
+                    for a in lie_generators(lam)]
+            assert keys == sorted(keys)
+
+    def test_generators_span_g_e_by_the_closure_oracle(self):
+        for lam in all_compositions(9):
+            basis = basis_list(lam)
+            gens = [basis[a] for a in lie_generators(lam)]
+            assert lie_closure_rank(lam, gens) == len(basis), lam
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gl_n_needs_its_one_diagonal_generator(self, n):
+        """Without the diagonal label, S generates only sl_n."""
+        lam = Composition((1,) * n)
+        basis = basis_list(lam)
+        gens = [basis[a] for a in lie_generators(lam)]
+        diagonal = [x for x in gens if x.i == x.j]
+        assert len(diagonal) == 1
+        rest = [x for x in gens if x.i != x.j]
+        assert lie_closure_rank(lam, rest) == len(basis) - 1
+
+    def test_rank_short_of_dim_raises(self, monkeypatch):
+        """The rank, not the walk, certifies S: a reducer that finds every
+        row in the span keeps no pivot and leaves rank 0."""
+        lam = Composition((2, 3))
+        monkeypatch.setattr(centralizer, "echelon_add", lambda pivots, row: False)
+        lie_generators.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="rank 0 of 9"):
+                lie_generators(lam)
+        finally:
+            lie_generators.cache_clear()
+

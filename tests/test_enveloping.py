@@ -22,7 +22,12 @@ from nilcent.enveloping import (
 )
 
 from conftest import compositions, embed, pbw_elements
-from oracles import bracket, transposition_normal_form, transposition_product
+from oracles import (
+    bracket,
+    central_report_all_labels,
+    transposition_normal_form,
+    transposition_product,
+)
 
 LAM12 = Composition((1, 2))
 LAM11 = Composition((1, 1))
@@ -33,9 +38,13 @@ def words(a):
     return dict(a.index_terms())
 
 
+def all_labels(lam):
+    return range(len(basis_list(lam)))
+
+
 def commutators(a):
-    """[a, e_idx] keyed by idx."""
-    return dict(basis_commutators(a))
+    """[a, e_idx] keyed by idx, for every basis label."""
+    return dict(basis_commutators(a, all_labels(a.algebra.lam)))
 
 
 class TestBasicElements:
@@ -212,7 +221,7 @@ class TestCommutator:
     def test_matches_transposition_oracle(self, data):
         lam = data.draw(compositions())
         a = data.draw(pbw_elements(lam))
-        for idx, c in basis_commutators(a):
+        for idx, c in basis_commutators(a, all_labels(lam)):
             e = embed(lam, idx)
             assert c == transposition_product(a, e) - transposition_product(e, a)
 
@@ -352,6 +361,27 @@ class TestCentralElements:
         assert len(details) == 4
         assert details["[z_2, e[2,1;0]] = 0"] == (
             "residual has 3 terms, leading -2*e[1,1;0]*e[2,2;1]")
+
+    def test_generator_walk_matches_all_labels(self):
+        """Passing rows deduced from lie_generators are the rows the walk
+        over every label gives."""
+        for total in range(1, 7):
+            for lam in monotone_compositions(total):
+                for r in range(1, lam.N + 1):
+                    assert verify_central(lam, r) == central_report_all_labels(lam, r)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2), (3, 2, 1)])
+    def test_planted_noncentral_fails_as_all_labels(self, monkeypatch, parts):
+        """z_r + e[1,2;0] fails with the rows and witnesses of the walk
+        over every label."""
+        lam = Composition(parts)
+        real = enveloping.central_element
+        monkeypatch.setattr(enveloping, "central_element",
+                            lambda lam, r: real(lam, r) + embed(lam, (1, 2, 0)))
+        for r in range(1, lam.N + 1):
+            rep = verify_central(lam, r)
+            assert not rep.ok
+            assert rep == central_report_all_labels(lam, r)
 
 
 class TestSerialization:

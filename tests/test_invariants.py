@@ -25,6 +25,7 @@ from oracles import (
     coadjoint_action,
     dual_index_or_none,
     evaluate,
+    invariant_report_all_labels,
     pairing_consistency,
     partial,
 )
@@ -44,8 +45,8 @@ def var(i, j, r):
 
 
 def ad(lam, p):
-    """ad e_idx . p keyed by idx."""
-    return dict(adjoint_actions(lam, p))
+    """ad e_idx . p keyed by idx, for every basis label."""
+    return dict(adjoint_actions(lam, p, range(len(basis_list(lam)))))
 
 
 class TestPolynomial:
@@ -186,7 +187,7 @@ class TestAdjointAction:
     def test_matches_per_position_oracle(self, data):
         lam = data.draw(compositions())
         p = data.draw(polynomials(lam, max_degree=3))
-        for x, q in adjoint_actions(lam, p):
+        for x, q in adjoint_actions(lam, p, range(len(basis_list(lam)))):
             assert q == adjoint_action(lam, x, p)
 
     def test_verify_invariant_small(self):
@@ -206,6 +207,28 @@ class TestAdjointAction:
         details = {c.name: c.detail for c in rep.failures()}
         assert details["ad e[2,1;0] kills x_2"] == (
             "residual has 2 terms, leading 2*e[1,1;0]*e[2,2;1]")
+
+    def test_generator_walk_matches_all_labels(self):
+        """Passing rows deduced from lie_generators are the rows the walk
+        over every label gives."""
+        for total in range(1, 7):
+            for lam in monotone_compositions(total):
+                for r in range(1, lam.N + 1):
+                    assert (verify_invariant(lam, r)
+                            == invariant_report_all_labels(lam, r))
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (2, 2), (3, 2, 1)])
+    def test_planted_noninvariant_fails_as_all_labels(self, monkeypatch, parts):
+        """x_r + e[1,2;0] fails with the rows and witnesses of the walk
+        over every label."""
+        lam = Composition(parts)
+        real = invariants.elementary_invariant
+        monkeypatch.setattr(invariants, "elementary_invariant",
+                            lambda lam, r: real(lam, r) + var(1, 2, 0))
+        for r in range(1, lam.N + 1):
+            rep = verify_invariant(lam, r)
+            assert not rep.ok
+            assert rep == invariant_report_all_labels(lam, r)
 
 
 class TestCoadjointAction:
