@@ -20,7 +20,9 @@ sparse matrix model (UnitMatrix, matrix_commutator) checks the basis
 against e in verify_centralizer; the tests also check the bracket rule
 against matrix commutators with it.  lie_generators picks basis labels
 that generate g_e as a Lie algebra and certifies them by the rank of
-their bracket closure; the centrality and invariance checks run on them.
+their bracket closure.  adjoint_images applies ad of basis elements to
+words of positions, and annihilator_checks, the centrality and
+invariance check, tries the generators before every label.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import NamedTuple
 
 from .composition import Composition, shift
 from .linalg import echelon_add, rational_rank
-from .reports import Check, Report
-from .sparse import SparseElement, accumulate
+from .reports import Check, Report, residual_check
+from .sparse import SparseElement, accumulate, derivation_images
 
 
 class BasisIndex(NamedTuple):
@@ -94,7 +96,6 @@ def basis_element(lam: Composition, idx: BasisIndex) -> UnitMatrix:
     return UnitMatrix(dict.fromkeys(unit_support(lam, idx), 1))
 
 
-@lru_cache(maxsize=1)
 def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
     """All admissible labels in lexicographic (i, j, r) order."""
     out = []
@@ -182,9 +183,44 @@ def lie_generators(lam: Composition) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def adjoint_images(lam: Composition, words: dict, labels, insert):
+    """Yield (idx, ad e_idx . words) for the basis positions in labels,
+    in order, words a map from sorted words of positions to coefficients.
+
+    ad e_idx is the derivation that replaces one letter x at a time by
+    the table row [e_idx, x]; insert puts a letter that lands out of
+    place back in order, as in sparse.derivation_images.
+    """
+    sc = structure_constants(lam)
+    return derivation_images(
+        words, ((sc.basis[t], sc.table[t].get) for t in labels), insert)
+
+
+def annihilator_checks(lam: Composition, images, name) -> tuple[Check, ...]:
+    """The row name(idx) for every basis label idx, which passes when
+    ad e_idx kills an element.
+
+    images(labels) yields (idx, residual) for the basis positions in
+    labels, in order, each residual a sparse element that is zero exactly
+    when ad e_idx kills the element.  ad is a representation of g_e, on
+    the enveloping algebra and on the symmetric algebra alike, so the x
+    in g_e whose ad kills the element form a Lie subalgebra.  The labels
+    of lie_generators are tried first: if they all kill the element, so
+    does every basis element, and each row is deduced to pass.
+    Otherwise every label is walked, so each failed row names its own
+    residual.
+    """
+    basis = structure_constants(lam).basis
+    if any(residual for _, residual in images(lie_generators(lam))):
+        return tuple(residual_check(name(idx), residual)
+                     for idx, residual in images(range(len(basis))))
+    return tuple(Check(name(idx), True) for idx in basis)
+
+
 def verify_centralizer(lam: Composition) -> Report:
     """Commutation with the nilpotent, dimension count, bracket grading."""
-    basis = basis_list(lam)
+    sc = structure_constants(lam)
+    basis = sc.basis
     mats = [basis_element(lam, idx) for idx in basis]
     e = nilpotent_matrix(lam)
 
@@ -195,7 +231,6 @@ def verify_centralizer(lam: Composition) -> Report:
     rank = rational_rank([m.terms for m in mats])
     dim_ok = len(basis) == expected_dim and rank == expected_dim
 
-    sc = structure_constants(lam)
     label = "e[{0.i},{0.j};{0.r}]".format
     misgraded = next((
         f"[{label(x)}, {label(basis[b])}] has term {label(basis[z])}"

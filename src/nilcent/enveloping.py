@@ -10,18 +10,14 @@ letter out of place, which is straightened the same way.  Word length
 falls at each level, so the reduction terminates, and by the diamond
 lemma its result does not depend on the order of the rewriting.  The
 centrality check applies ad e as a derivation through
-sparse.derivation_images and puts each bracket term back in order by the
-same insertion.  The x in g_e with [z, x] = 0 form a Lie subalgebra,
-since [z, [x, y]] = [[z, x], y] + [x, [z, y]], so verify_central applies
-only the generators of centralizer.lie_generators: if z commutes with
-them, it commutes with every basis element, and each basis row is
-deduced to pass.  If one of them leaves a residual, every label is
-walked, so each failed row names its own.  Insertions into unsorted
-words are memoised per word inside a per-composition context,
-pbw_algebra(lam), which holds the memo and the central elements built so
-far; it lives until another composition is asked for.  Words are of basis positions; the basis, its
-index and the bracket rows come from structure_constants, which interns
-them, and all public interfaces speak BasisIndex.
+centralizer.adjoint_images, puts each bracket term back in order by the
+same insertion, and leaves the choice of labels to
+centralizer.annihilator_checks.  Insertions into unsorted words are
+memoised per word inside a per-composition context, pbw_algebra(lam),
+which holds the memo and the central elements built so far; it lives
+until another composition is asked for.  Words are of basis positions;
+the basis, its index and the bracket rows come from structure_constants,
+which interns them, and all public interfaces speak BasisIndex.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .centralizer import BasisIndex, lie_generators, structure_constants
+from .centralizer import BasisIndex, adjoint_images, annihilator_checks, structure_constants
 from .composition import (
     Composition,
     SubComposition,
@@ -38,8 +34,8 @@ from .composition import (
     invariant_degrees,
 )
 from .linalg import column_determinant, format_scalar
-from .reports import Check, Report, residual_check
-from .sparse import SparseElement, accumulate, derivation_images
+from .reports import Report
+from .sparse import SparseElement, accumulate
 
 
 class PbwAlgebra:
@@ -53,9 +49,6 @@ class PbwAlgebra:
         self.table = sc.table
         self._nf_memo: dict[tuple, dict] = {}
         self._central: dict[int, dict] = {}
-
-    def zero(self) -> "PbwElement":
-        return PbwElement(self, {})
 
     def scalar(self, c) -> "PbwElement":
         return PbwElement(self, {(): c} if c else {})
@@ -165,13 +158,11 @@ class PbwElement(SparseElement):
 def basis_commutators(a: PbwElement, labels):
     """Yield (idx, [a, e_idx]) for the basis positions in labels, in order.
 
-    [y, x_1...x_k] = sum_t x_1...[y, x_t]...x_k, so ad y acts as a
-    derivation that reads the bracket row of y, and its terms are put
-    back in order by one-letter insertion; [a, e_y] is its negative.
+    [a, e_y] is the negative of ad e_y . a, whose terms are put back in
+    order by one-letter insertion.
     """
     alg = a.algebra
-    derivations = ((alg.basis[t], alg.table[t].get) for t in labels)
-    for idx, terms in derivation_images(a.terms, derivations, alg._insert):
+    for idx, terms in adjoint_images(alg.lam, a.terms, labels, alg._insert):
         yield idx, PbwElement(alg, {w: -c for w, c in terms.items()})
 
 
@@ -252,20 +243,11 @@ def central_element(lam: Composition, r: int) -> PbwElement:
 
 
 def verify_central(lam: Composition, r: int) -> Report:
-    """Commutator of the weight-r generator with every basis generator.
-
-    The generators of lie_generators(lam) are tried first; if z_r commutes
-    with them all, every row passes.  Otherwise every label is tried, so
-    each failed row names its own residual.
-    """
+    """Commutator of the weight-r generator with every basis generator."""
     z = central_element(lam, r)
-    basis = z.algebra.basis
-    name = f"[z_{r}, e[{{0.i}},{{0.j}};{{0.r}}]] = 0".format
-    if any(c for _, c in basis_commutators(z, lie_generators(lam))):
-        checks = tuple(residual_check(name(idx), c) for idx, c
-                       in basis_commutators(z, range(len(basis))))
-    else:
-        checks = tuple(Check(name(idx), True) for idx in basis)
+    checks = annihilator_checks(
+        lam, lambda labels: basis_commutators(z, labels),
+        f"[z_{r}, e[{{0.i}},{{0.j}};{{0.r}}]] = 0".format)
     return Report(
         f"centrality lambda={lam} r={r} ({len(z.terms)} normal-form terms)",
         checks,

@@ -4,17 +4,11 @@ The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  adjoint_actions applies ad of the basis generators
 it is given, the derivation extending the bracket, to one polynomial by
-the walk of sparse.derivation_images that the centrality check also
-runs: on words of basis positions, reading the bracket rows of
-structure_constants.  verify_invariant checks that every basis generator
-kills an elementary invariant p.  ad is a representation,
-ad [x, y] = ad x ad y - ad y ad x, so the x in g_e with ad x . p = 0 form
-a Lie subalgebra; verify_invariant applies only the generators of
-centralizer.lie_generators, and if they all kill p, each basis row is
-deduced to pass.  If one leaves a residual, every label is walked, so
-each failed row names its own.  Polynomial supplies ring arithmetic
-only: the slice restriction and the Jacobian read what they need off its
-terms.
+centralizer.adjoint_images, the walk that the centrality check also
+runs, on words of basis positions.  verify_invariant checks through
+centralizer.annihilator_checks that every basis generator kills an
+elementary invariant.  Polynomial supplies ring arithmetic only: the
+slice restriction and the Jacobian read what they need off its terms.
 """
 
 from __future__ import annotations
@@ -23,11 +17,11 @@ import itertools
 from bisect import insort
 from functools import lru_cache
 
-from .centralizer import BasisIndex, basis_list, lie_generators, structure_constants
+from .centralizer import BasisIndex, adjoint_images, annihilator_checks, structure_constants
 from .composition import MAX_TOTAL, Composition, enumerate_mu
 from .linalg import column_determinant, format_scalar
-from .reports import Check, Report, residual_check
-from .sparse import SparseElement, accumulate, derivation_images
+from .reports import Report
+from .sparse import SparseElement, accumulate
 
 
 class Polynomial(SparseElement):
@@ -38,10 +32,6 @@ class Polynomial(SparseElement):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls({})
 
     @classmethod
     def variable(cls, v) -> "Polynomial":
@@ -110,15 +100,12 @@ def elementary_invariant(lam: Composition, r: int) -> Polynomial:
 def adjoint_actions(lam: Composition, p: Polynomial, labels):
     """Yield (idx, ad e_idx . p) for the basis positions in labels, in order.
 
-    ad x is the derivation extending v -> [x, v] on variables: each
-    bracket term replaces one variable of a monomial, which is sorted
-    back into place.  Positions sort as the labels do.
+    Monomials become words of positions, which sort as the labels do.
     """
     sc = structure_constants(lam)
     basis, index_of = sc.basis, sc.index_of
     words = {tuple(index_of[v] for v in mono): c for mono, c in p.terms.items()}
-    derivations = ((basis[t], sc.table[t].get) for t in labels)
-    for x, terms in derivation_images(words, derivations, _sorted_insert):
+    for x, terms in adjoint_images(lam, words, labels, _sorted_insert):
         yield x, Polynomial({tuple(basis[t] for t in w): c for w, c in terms.items()})
 
 
@@ -130,20 +117,11 @@ def _sorted_insert(head: tuple, v, tail: tuple) -> dict:
 
 
 def verify_invariant(lam: Composition, r: int) -> Report:
-    """Adjoint invariance of the degree-d_r symbol, generator by generator.
-
-    The generators of lie_generators(lam) are tried first; if they all
-    kill x_r, every row passes.  Otherwise every label is tried, so each
-    failed row names its own residual.
-    """
+    """Adjoint invariance of the degree-d_r symbol, generator by generator."""
     p = elementary_invariant(lam, r)
-    basis = basis_list(lam)
-    name = f"ad e[{{0.i}},{{0.j}};{{0.r}}] kills x_{r}".format
-    if any(q for _, q in adjoint_actions(lam, p, lie_generators(lam))):
-        checks = tuple(residual_check(name(idx), q) for idx, q
-                       in adjoint_actions(lam, p, range(len(basis))))
-    else:
-        checks = tuple(Check(name(idx), True) for idx in basis)
+    checks = annihilator_checks(
+        lam, lambda labels: adjoint_actions(lam, p, labels),
+        f"ad e[{{0.i}},{{0.j}};{{0.r}}] kills x_{r}".format)
     return Report(f"invariance lambda={lam} r={r}", checks)
 
 

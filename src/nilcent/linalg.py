@@ -7,13 +7,9 @@ every completion.  echelon_add is the one elimination: it reads each row
 as a map from column to scalar, so a sparse row costs only its nonzero
 entries, and it reduces fraction-free, so integer rows never become
 Fractions.  rational_rank is a loop over it, and so is the rank that
-certifies a Lie generating set in centralizer.lie_generators.  The
-centrality and invariance checks run on that set alone, and deduce the
-rows of the other basis elements: the elements of g_e that commute with
-z_r, or that kill x_r under ad, form a Lie subalgebra, which is all of
-g_e once it holds a generating set.  echelon_add keeps its own
-drop-if-zero update because sparse, home of accumulate, imports this
-module.
+certifies a Lie generating set in centralizer.lie_generators.
+echelon_add keeps its own drop-if-zero update because sparse, home of
+accumulate, imports this module.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ def pbw_elements(lam, max_len: int = 2, max_terms: int = 3):
                      min_size=0, max_size=max_terms)
     return pairs.map(lambda ps: sum(
         (c * math.prod(map(alg.embed, w), start=alg.scalar(1))
-         for w, c in dict(ps).items()), alg.zero()))
+         for w, c in dict(ps).items()), alg.scalar(0)))
 
 
 def polynomials(lam, max_degree: int = 2, max_terms: int = 3):
@@ -59,7 +59,7 @@ def polynomials(lam, max_degree: int = 2, max_terms: int = 3):
                      min_size=0, max_size=max_terms)
 
     def build(ps):
-        p = Polynomial.zero()
+        p = Polynomial({})
         for m, c in ps:
             p = p + Polynomial({m: c} if c else {})
         return p

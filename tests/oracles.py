@@ -248,7 +248,7 @@ def evaluate_basis_at_slice(lam, idx) -> Polynomial:
         raise ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
     if idx.i == lam.n:
         return Polynomial.variable(PVar(idx.j, idx.r))
-    return Polynomial.zero() + base_point(lam).get(idx, 0)
+    return Polynomial({}) + base_point(lam).get(idx, 0)
 
 
 def substitute_word(lam, word) -> PbwElement:

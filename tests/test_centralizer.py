@@ -187,7 +187,7 @@ class TestStructureConstants:
     def test_one_row_per_left_argument(self):
         lam = Composition((1, 2, 2))
         sc = structure_constants(lam)
-        assert sc.basis is basis_list(lam)
+        assert sc.basis == basis_list(lam)
         assert len(sc.table) == len(sc.basis)
         assert all(sc.basis[a] == x for x, a in sc.index_of.items())
         for row in sc.table:

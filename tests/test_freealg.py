@@ -368,7 +368,7 @@ class TestGradedImage:
         rep = verify_graded_image(LAM11, 2)
         assert rep.ok
         Z2 = z_polynomial(LAM11)[1]
-        image = pbw_algebra(LAM11).zero()
+        image = pbw_algebra(LAM11).scalar(0)
         for word, c in Z2.terms.items():
             if loop_weight(word) == 0:
                 image = image + c * substitute_word(LAM11, word)
@@ -378,7 +378,7 @@ class TestGradedImage:
         rep = verify_graded_image(LAM12, 3)
         assert rep.ok, rep.failures()
         Z3 = z_polynomial(LAM12)[2]
-        image = pbw_algebra(LAM12).zero()
+        image = pbw_algebra(LAM12).scalar(0)
         for word, c in Z3.terms.items():
             if loop_weight(word) == 1:
                 image = image + c * substitute_word(LAM12, word)

@@ -74,21 +74,53 @@ def test_no_module_imports_random():
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
     """Top-level functions and classes, and the non-dunder methods of
-    top-level classes, whose name no source reads.
+    top-level classes, that no source reads.
 
     A top-level name is used only by a bare name; obj.name reads an
     attribute, which may be a method of the same name.  A method is used
     by an attribute read, or by a bare name in its own class body outside
     its methods (other = method); a bare name anywhere else is a local or
-    a global, never the method.  Reads are matched by name alone, so two
-    classes with a method of the same name hide each other: a read of
-    either counts for both.
+    a global, never the method.  An attribute read resolves through its
+    receiver: Cls.meth reads meth of Cls and of its bases; self.meth,
+    cls.meth and super().meth inside class C read it of C, its bases and
+    its subclasses, since a subclass may override it.  Any other receiver
+    reads every method of that name.  Bases count only when they are
+    top-level classes of the sources, named by a bare name.
     """
     trees = [ast.parse(source) for source in sources]
     nodes = [n for tree in trees for n in ast.walk(tree)]
     names = {n.id for n in nodes if isinstance(n, ast.Name)}
-    attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)
-                  and isinstance(n.ctx, ast.Load)}
+    classes = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def ancestors(name: str) -> set[str]:
+        out = {name}
+        for base in classes[name].bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                out |= ancestors(base.id)
+        return out
+
+    def related(name: str) -> set[str]:
+        return ancestors(name) | {c for c in classes if name in ancestors(c)}
+
+    enclosing = {n: name for name, node in classes.items()
+                 for n in ast.walk(node)}
+    reads = set()  # (class, method), with class None for any class
+    for n in nodes:
+        if not (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)):
+            continue
+        receiver = n.value
+        if isinstance(receiver, ast.Name) and receiver.id in classes:
+            owners = ancestors(receiver.id)
+        elif n in enclosing and (
+                isinstance(receiver, ast.Name) and receiver.id in ("self", "cls")
+                or isinstance(receiver, ast.Call)
+                and isinstance(receiver.func, ast.Name)
+                and receiver.func.id == "super"):
+            owners = related(enclosing[n])
+        else:
+            owners = {None}
+        reads |= {(c, n.attr) for c in owners}
     unused = []
     for node in (node for tree in trees for node in tree.body):
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -102,7 +134,8 @@ def unreferenced_definitions(sources: list[str]) -> list[str]:
             unused += [f"{node.name}.{m.name}" for m in node.body
                        if isinstance(m, ast.FunctionDef)
                        and not (m.name.startswith("__") and m.name.endswith("__"))
-                       and m.name not in attributes | own]
+                       and m.name not in own
+                       and not reads & {(node.name, m.name), (None, m.name)}]
     return unused
 
 
@@ -126,6 +159,23 @@ def test_the_check_sees_an_unreferenced_method():
               "    return shadowed()\n\n\n"
               "box = Box()\nbox.dead = box.read\nrun()\n")
     assert unreferenced_definitions([source]) == ["Box.dead", "Box.shadowed"]
+
+
+def test_the_check_resolves_method_reads_by_class():
+    # Label's unit and double share their names with used methods of the
+    # Shape classes; scale is defined only by the subclass that overrides
+    source = ("class Shape:\n"
+              "    def area(self):\n        return self.scale() * self.unit()\n\n"
+              "    def unit(self):\n        return 1\n\n\n"
+              "class Square(Shape):\n"
+              "    def scale(self):\n        return 2\n\n"
+              "    def double(self):\n        return 2 * super().area()\n\n\n"
+              "class Label:\n"
+              "    def unit(self):\n        return ''\n\n"
+              "    def double(self):\n        return ''\n\n"
+              "    def text(self):\n        return ''\n\n\n"
+              "print(Square.double(Square()), Label().text())\n")
+    assert unreferenced_definitions([source]) == ["Label.unit", "Label.double"]
 
 
 def test_every_definition_is_referenced():

@@ -51,11 +51,11 @@ def ad(lam, p):
 
 class TestPolynomial:
     def test_constructors(self):
-        assert Polynomial.zero().is_zero()
-        assert (Polynomial.zero() + 0).is_zero()
+        assert Polynomial({}).is_zero()
+        assert (Polynomial({}) + 0).is_zero()
         p = var(1, 1, 0)
         assert p.terms == {(E110,): 1}
-        assert (Polynomial.zero() + 3).terms == {(): 3}
+        assert (Polynomial({}) + 3).terms == {(): 3}
 
     @pytest.mark.parametrize("lam", [LAM12])
     @settings(max_examples=40)
@@ -67,14 +67,14 @@ class TestPolynomial:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == Polynomial.zero()
+        assert a - a == Polynomial({})
 
     def test_evaluate_and_partial(self):
         p = var(1, 1, 0) * var(1, 1, 0) + 3 * var(2, 2, 1)
         point = {E110: 5, E221: -1}
         assert evaluate(p, point) == 22
         assert partial(p, E110) == 2 * var(1, 1, 0)
-        assert partial(p, E221) == Polynomial.zero() + 3
+        assert partial(p, E221) == Polynomial({}) + 3
         assert partial(p, E210).is_zero()
 
     def test_repr_groups_exponents(self):
@@ -85,10 +85,10 @@ class TestPolynomial:
 class TestTopSymbol:
     def test_zero_raises(self):
         with pytest.raises(ValueError):
-            top_symbol(pbw_algebra(LAM12).zero())
+            top_symbol(pbw_algebra(LAM12).scalar(0))
 
     def test_scalar(self):
-        assert top_symbol(pbw_algebra(LAM12).scalar(4)) == Polynomial.zero() + 4
+        assert top_symbol(pbw_algebra(LAM12).scalar(4)) == Polynomial({}) + 4
 
     def test_drops_lower_terms(self):
         a = embed(LAM12, E121) * embed(LAM12, E210) + 5 * embed(LAM12, E110) - 7
@@ -145,7 +145,7 @@ class TestElementaryInvariants:
 
 class TestAdjointAction:
     def test_kills_constants(self):
-        assert ad(LAM12, Polynomial.zero() + 9)[E121].is_zero()
+        assert ad(LAM12, Polynomial({}) + 9)[E121].is_zero()
 
     def test_single_variable(self):
         got = ad(LAM11, var(2, 1, 0))[BasisIndex(1, 2, 0)]
@@ -177,7 +177,7 @@ class TestAdjointAction:
                     once = ad(lam, Polynomial.variable(v))
                     twice = {y: ad(lam, q) for y, q in once.items()}
                     for x, y in itertools.product(basis, repeat=2):
-                        lhs = Polynomial.zero()
+                        lhs = Polynomial({})
                         for z, c in bracket(lam, x, y):
                             lhs = lhs + c * once[z]
                         assert lhs == twice[y][x] - twice[x][y]

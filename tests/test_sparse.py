@@ -19,8 +19,8 @@ def generators():
     alg = pbw_algebra(LAM12)
     letter = FreeElement.letter("a")
     return [
-        ("pbw", alg.embed((1, 1, 0)), alg.zero()),
-        ("polynomial", Polynomial.variable(BasisIndex(1, 1, 0)), Polynomial.zero()),
+        ("pbw", alg.embed((1, 1, 0)), alg.scalar(0)),
+        ("polynomial", Polynomial.variable(BasisIndex(1, 1, 0)), Polynomial({})),
         ("free", letter, FreeElement.zero()),
         ("upolynomial", UPolynomial({(1, ()): 1, (0, ("a",)): 1}),
          UPolynomial({})),
