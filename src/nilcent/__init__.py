@@ -27,7 +27,6 @@ from .composition import (
 )
 from .enveloping import (
     PbwElement,
-    basis_commutators,
     cdet_mu,
     central_element,
     filtration_degree,
@@ -47,7 +46,6 @@ from .freealg import (
 )
 from .invariants import (
     Polynomial,
-    adjoint_actions,
     elementary_invariant,
     top_symbol,
     verify_invariant,

@@ -20,9 +20,12 @@ sparse matrix model (UnitMatrix, matrix_commutator) checks the basis
 against e in verify_centralizer; the tests also check the bracket rule
 against matrix commutators with it.  lie_generators picks basis labels
 that generate g_e as a Lie algebra and certifies them by the rank of
-their bracket closure.  adjoint_images applies ad of basis elements to
-words of positions, and annihilator_checks, the centrality and
-invariance check, tries the generators before every label.
+their bracket closure.  adjoint_images is the one walk of ad basis
+elements over words of positions, read straight off the table rows, in
+the enveloping and the symmetric algebra alike; the caller supplies
+only how a letter out of place is put back in order.
+annihilator_checks, the centrality and invariance check, runs it on
+the generators before every label.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 from .composition import Composition, shift
 from .linalg import echelon_add, rational_rank
 from .reports import Check, Report, residual_check
-from .sparse import SparseElement, accumulate, derivation_images
+from .sparse import SparseElement, accumulate
 
 
 class BasisIndex(NamedTuple):
@@ -185,35 +188,60 @@ def lie_generators(lam: Composition) -> tuple[int, ...]:
 
 def adjoint_images(lam: Composition, words: dict, labels, insert):
     """Yield (idx, ad e_idx . words) for the basis positions in labels,
-    in order, words a map from sorted words of positions to coefficients.
+    in order, words a map from sorted words of positions to coefficients
+    and each image such a map with its zeros dropped.
 
-    ad e_idx is the derivation that replaces one letter x at a time by
-    the table row [e_idx, x]; insert puts a letter that lands out of
-    place back in order, as in sparse.derivation_images.
+    ad e_idx is the derivation that replaces one letter x of a word at a
+    time by the table row [e_idx, x].  The words are indexed by letter
+    once, and each row is looked up once per letter that occurs in them.
+    A letter that lands in place between the sorted head and tail of its
+    word is added inline; one out of place is put in order by
+    insert(head, letter, tail), which returns the result as a map from
+    words to coefficients.
     """
     sc = structure_constants(lam)
-    return derivation_images(
-        words, ((sc.basis[t], sc.table[t].get) for t in labels), insert)
+    index: dict = {}
+    for m, c in words.items():
+        for t, x in enumerate(m):
+            index.setdefault(x, []).append((m[:t], m[t + 1:], c))
+    for a in labels:
+        row = sc.table[a].get
+        out: dict = {}
+        for x, places in index.items():
+            image = row(x)
+            if not image:
+                continue
+            for head, tail, c in places:
+                for w, cw in image:
+                    if (not head or head[-1] <= w) and (not tail or w <= tail[0]):
+                        word = head + (w,) + tail
+                        out[word] = out.get(word, 0) + c * cw
+                    else:
+                        for word, cm in insert(head, w, tail).items():
+                            out[word] = out.get(word, 0) + c * cw * cm
+        yield sc.basis[a], {m: c for m, c in out.items() if c}
 
 
-def annihilator_checks(lam: Composition, images, name) -> tuple[Check, ...]:
+def annihilator_checks(lam: Composition, words: dict, insert, residual,
+                       name) -> tuple[Check, ...]:
     """The row name(idx) for every basis label idx, which passes when
-    ad e_idx kills an element.
+    ad e_idx kills the element whose words adjoint_images walks with
+    insert.
 
-    images(labels) yields (idx, residual) for the basis positions in
-    labels, in order, each residual a sparse element that is zero exactly
-    when ad e_idx kills the element.  ad is a representation of g_e, on
-    the enveloping algebra and on the symmetric algebra alike, so the x
-    in g_e whose ad kills the element form a Lie subalgebra.  The labels
-    of lie_generators are tried first: if they all kill the element, so
-    does every basis element, and each row is deduced to pass.
-    Otherwise every label is walked, so each failed row names its own
-    residual.
+    residual(terms) wraps an image as the sparse element that a failed
+    row names.  ad is a representation of g_e, on the enveloping algebra
+    and on the symmetric algebra alike, so the x in g_e whose ad kills
+    the element form a Lie subalgebra.  The labels of lie_generators are
+    tried first: if they all kill the element, so does every basis
+    element, and each row is deduced to pass.  Otherwise every label is
+    walked, so each failed row names its own residual.
     """
     basis = structure_constants(lam).basis
-    if any(residual for _, residual in images(lie_generators(lam))):
-        return tuple(residual_check(name(idx), residual)
-                     for idx, residual in images(range(len(basis))))
+    if any(terms for _, terms in
+           adjoint_images(lam, words, lie_generators(lam), insert)):
+        return tuple(residual_check(name(idx), residual(terms))
+                     for idx, terms in adjoint_images(
+                         lam, words, range(len(basis)), insert))
     return tuple(Check(name(idx), True) for idx in basis)
 
 

@@ -138,13 +138,18 @@ def invariant_degrees(lam: Composition) -> tuple[int, ...]:
     return tuple(out)
 
 
+def require_weight(lam: Composition, r: int) -> None:
+    """Raise ValueError unless the weight r lies in 1..N."""
+    if not 1 <= r <= lam.N:
+        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+
+
 def min_length(lam: Composition, r: int) -> int:
     """Fewest nonzero parts over subcompositions of lam with weight r.
 
     Equals the smallest d whose d largest parts sum to at least r.
     """
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     total = 0
     for d, p in enumerate(sorted(lam.parts, reverse=True), start=1):
         total += p

@@ -9,10 +9,10 @@ right of it.  Each such term is a word one letter shorter with one
 letter out of place, which is straightened the same way.  Word length
 falls at each level, so the reduction terminates, and by the diamond
 lemma its result does not depend on the order of the rewriting.  The
-centrality check applies ad e as a derivation through
-centralizer.adjoint_images, puts each bracket term back in order by the
-same insertion, and leaves the choice of labels to
-centralizer.annihilator_checks.  Insertions into unsorted words are
+centrality check hands the normal form and this insertion to
+centralizer.annihilator_checks, whose walk, centralizer.adjoint_images,
+applies ad e as a derivation and puts each bracket term back in order
+by the insertion.  Insertions into unsorted words are
 memoised per word inside a per-composition context, pbw_algebra(lam),
 which holds the memo and the central elements built so far; it lives
 until another composition is asked for.  Words are of basis positions;
@@ -25,13 +25,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .centralizer import BasisIndex, adjoint_images, annihilator_checks, structure_constants
+from .centralizer import BasisIndex, annihilator_checks, structure_constants
 from .composition import (
     Composition,
     SubComposition,
     enumerate_mu,
     factors_admissible,
     invariant_degrees,
+    require_weight,
 )
 from .linalg import column_determinant, format_scalar
 from .reports import Report
@@ -155,17 +156,6 @@ class PbwElement(SparseElement):
             yield tuple(basis[t] for t in word), self.terms[word]
 
 
-def basis_commutators(a: PbwElement, labels):
-    """Yield (idx, [a, e_idx]) for the basis positions in labels, in order.
-
-    [a, e_y] is the negative of ad e_y . a, whose terms are put back in
-    order by one-letter insertion.
-    """
-    alg = a.algebra
-    for idx, terms in adjoint_images(alg.lam, a.terms, labels, alg._insert):
-        yield idx, PbwElement(alg, {w: -c for w, c in terms.items()})
-
-
 def product_sum(lam: Composition, terms: dict) -> PbwElement:
     """Normal form of sum c * e_x1 ... e_xk over the (x1, ..., xk): c of terms.
 
@@ -230,8 +220,7 @@ def cdet_mu(lam: Composition, mu) -> PbwElement:
 
 def central_element(lam: Composition, r: int) -> PbwElement:
     """The weight-r generator: sum of column determinants over enumerate_mu."""
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     alg = pbw_algebra(lam)
     terms = alg._central.get(r)
     if terms is None:
@@ -245,8 +234,10 @@ def central_element(lam: Composition, r: int) -> PbwElement:
 def verify_central(lam: Composition, r: int) -> Report:
     """Commutator of the weight-r generator with every basis generator."""
     z = central_element(lam, r)
+    alg = z.algebra
+    # [z, e_y] is the negative of ad e_y . z
     checks = annihilator_checks(
-        lam, lambda labels: basis_commutators(z, labels),
+        lam, z.terms, alg._insert, lambda terms: -PbwElement(alg, terms),
         f"[z_{r}, e[{{0.i}},{{0.j}};{{0.r}}]] = 0".format)
     return Report(
         f"centrality lambda={lam} r={r} ({len(z.terms)} normal-form terms)",

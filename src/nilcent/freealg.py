@@ -30,6 +30,7 @@ from .centralizer import BasisIndex
 from .composition import (
     Composition,
     invariant_degrees,
+    require_weight,
     shift,
     weight_subcompositions,
 )
@@ -171,8 +172,7 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
         raise ValueError(
             f"the symbol expansion needs weakly increasing parts, got {lam}"
         )
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     n = lam.n
     weights: dict[tuple, int] = {}
     for mu in weight_subcompositions(lam, r):
@@ -206,8 +206,7 @@ def loop_weight(word) -> int:
 
 def expansion_identity(lam: Composition, r: int) -> Report:
     """Z_r from the determinant against its direct binomial expansion."""
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     diff = z_polynomial(lam)[r - 1] - binomial_z_expansion(lam, r)
     return Report(
         f"symbol expansion lambda={lam} r={r}",
@@ -222,8 +221,7 @@ def verify_graded_image(lam: Composition, r: int) -> Report:
     weight-m part must map onto (-1)^m times the weight-r central
     generator under the letter substitution T[i,j;s+1] -> (-1)^s e[i,j;s].
     """
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     Zr = z_polynomial(lam)[r - 1]
     m = r - invariant_degrees(lam)[r - 1]
     over = FreeElement({w: c for w, c in Zr.terms.items() if loop_weight(w) > m})

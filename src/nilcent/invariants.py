@@ -1,14 +1,15 @@
-"""Top symbols in the symmetric algebra and the adjoint action.
+"""Top symbols in the symmetric algebra and the invariance check.
 
 The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
-filtration degree.  adjoint_actions applies ad of the basis generators
-it is given, the derivation extending the bracket, to one polynomial by
-centralizer.adjoint_images, the walk that the centrality check also
-runs, on words of basis positions.  verify_invariant checks through
-centralizer.annihilator_checks that every basis generator kills an
-elementary invariant.  Polynomial supplies ring arithmetic only: the
-slice restriction and the Jacobian read what they need off its terms.
+filtration degree.  verify_invariant checks that ad of every basis
+generator, the derivation extending the bracket, kills an elementary
+invariant: it rewrites the monomials as words of basis positions and
+hands them to centralizer.annihilator_checks, whose walk,
+centralizer.adjoint_images, the centrality check also runs, with each
+bracket term sorted into its monomial.  Polynomial supplies ring
+arithmetic only: the slice restriction and the Jacobian read what they
+need off its terms.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import itertools
 from bisect import insort
 from functools import lru_cache
 
-from .centralizer import BasisIndex, adjoint_images, annihilator_checks, structure_constants
-from .composition import MAX_TOTAL, Composition, enumerate_mu
+from .centralizer import BasisIndex, annihilator_checks, structure_constants
+from .composition import MAX_TOTAL, Composition, enumerate_mu, require_weight
 from .linalg import column_determinant, format_scalar
 from .reports import Report
 from .sparse import SparseElement, accumulate
@@ -83,8 +84,7 @@ def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     Built directly in the symmetric algebra, without shifts, so it can
     serve as an independent target for top_symbol(central_element).
     """
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     terms: dict = {}
     for mu in enumerate_mu(lam, r):
         supp = mu.support()
@@ -97,18 +97,6 @@ def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def adjoint_actions(lam: Composition, p: Polynomial, labels):
-    """Yield (idx, ad e_idx . p) for the basis positions in labels, in order.
-
-    Monomials become words of positions, which sort as the labels do.
-    """
-    sc = structure_constants(lam)
-    basis, index_of = sc.basis, sc.index_of
-    words = {tuple(index_of[v] for v in mono): c for mono, c in p.terms.items()}
-    for x, terms in adjoint_images(lam, words, labels, _sorted_insert):
-        yield x, Polynomial({tuple(basis[t] for t in w): c for w, c in terms.items()})
-
-
 def _sorted_insert(head: tuple, v, tail: tuple) -> dict:
     """The commutative monomial head * v * tail, sorted."""
     mono = list(head + tail)
@@ -119,8 +107,14 @@ def _sorted_insert(head: tuple, v, tail: tuple) -> dict:
 def verify_invariant(lam: Composition, r: int) -> Report:
     """Adjoint invariance of the degree-d_r symbol, generator by generator."""
     p = elementary_invariant(lam, r)
+    sc = structure_constants(lam)
+    # words of positions sort as the labels do
+    words = {tuple(sc.index_of[v] for v in mono): c
+             for mono, c in p.terms.items()}
     checks = annihilator_checks(
-        lam, lambda labels: adjoint_actions(lam, p, labels),
+        lam, words, _sorted_insert,
+        lambda terms: Polynomial({tuple(sc.basis[t] for t in w): c
+                                  for w, c in terms.items()}),
         f"ad e[{{0.i}},{{0.j}};{{0.r}}] kills x_{r}".format)
     return Report(f"invariance lambda={lam} r={r}", checks)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .centralizer import BasisIndex, is_admissible
-from .composition import Composition, invariant_degrees
+from .composition import Composition, invariant_degrees, require_weight
 from .invariants import Polynomial, elementary_invariant
 from .linalg import rational_rank
 from .reports import Check, Report
@@ -98,8 +98,7 @@ def expected_restriction(lam: Composition, r: int) -> Polynomial:
     is (-1)^(d-1) p[n-d+1, s-1].
     """
     _require_increasing(lam)
-    if not 1 <= r <= lam.N:
-        raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
+    require_weight(lam, r)
     d = invariant_degrees(lam)[r - 1]
     n = lam.n
     s = r - sum(lam.parts[n - d + 1:])

@@ -4,12 +4,10 @@ The enveloping algebra, the symmetric algebra, the free algebra,
 polynomials in u over the free algebra and the matrix units of gl_N all
 store an element this way, each coefficient an exact scalar.
 They differ only in how two monomials multiply and how a monomial prints;
-coercion, comparison and the linear and ring operations live here, and
-so does derivation_images, which applies derivations word by word for
-the centrality check in the enveloping algebra and the invariance check
-in the symmetric algebra.  A caller that needs more than ring arithmetic,
-such as a coefficient of u or a derivative at a point, reads it off the
-terms itself.
+coercion, comparison and the linear and ring operations live here.  A
+caller that needs more than ring arithmetic, such as a coefficient of u,
+a derivative at a point or the adjoint action, reads it off the terms
+itself.
 """
 
 from __future__ import annotations
@@ -29,39 +27,6 @@ def accumulate(out: dict, pairs, scale=1) -> dict:
         elif m in out:
             del out[m]
     return out
-
-
-def derivation_images(terms: dict, derivations, insert):
-    """Yield (label, image of terms) for every (label, image_of) in
-    derivations, each image a dict with its zeros dropped.
-
-    A derivation replaces one letter x of a word at a time by the terms
-    of image_of(x), (letter, coefficient) pairs; an empty image or None
-    leaves nothing.  The words are indexed by letter once, and image_of
-    is asked only about letters that occur in them.  A letter that lands
-    in place between the sorted head and tail of its word is added
-    inline; one out of place is put in order by insert(head, letter,
-    tail), which returns the result as a map from words to coefficients.
-    """
-    index: dict = {}
-    for m, c in terms.items():
-        for t, x in enumerate(m):
-            index.setdefault(x, []).append((m[:t], m[t + 1:], c))
-    for label, image_of in derivations:
-        out: dict = {}
-        for x, places in index.items():
-            image = image_of(x)
-            if not image:
-                continue
-            for head, tail, c in places:
-                for w, cw in image:
-                    if (not head or head[-1] <= w) and (not tail or w <= tail[0]):
-                        word = head + (w,) + tail
-                        out[word] = out.get(word, 0) + c * cw
-                    else:
-                        for word, cm in insert(head, w, tail).items():
-                            out[word] = out.get(word, 0) + c * cw * cm
-        yield label, {m: c for m, c in out.items() if c}
 
 
 class SparseElement:

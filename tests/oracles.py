@@ -22,9 +22,9 @@ from nilcent.centralizer import (
     unit_support,
 )
 from nilcent.composition import weight_subcompositions
-from nilcent.enveloping import PbwElement, basis_commutators, pbw_algebra
+from nilcent.enveloping import PbwElement, pbw_algebra
 from nilcent.freealg import FreeElement, t_symbol
-from nilcent.invariants import Polynomial, adjoint_actions
+from nilcent.invariants import Polynomial
 from nilcent.linalg import column_determinant
 from nilcent.reports import Check, Report, residual_check
 from nilcent.slice import PVar, base_point
@@ -138,26 +138,29 @@ def lie_closure_rank(lam, generators) -> int:
 
 
 def central_report_all_labels(lam, r) -> Report:
-    """verify_central as a walk over every basis label, each row with its
-    own residual; the reference for its walk over lie_generators."""
+    """verify_central as z * e - e * z in PBW for every basis label e, each
+    row with its own residual; the reference for its walk over
+    lie_generators."""
     z = enveloping.central_element(lam, r)
-    labels = range(len(z.algebra.basis))
+    alg = z.algebra
     checks = tuple(
-        residual_check(f"[z_{r}, e[{idx.i},{idx.j};{idx.r}]] = 0", c)
-        for idx, c in basis_commutators(z, labels))
+        residual_check(f"[z_{r}, e[{idx.i},{idx.j};{idx.r}]] = 0",
+                       z * alg.embed(idx) - alg.embed(idx) * z)
+        for idx in alg.basis)
     return Report(
         f"centrality lambda={lam} r={r} ({len(z.terms)} normal-form terms)",
         checks)
 
 
 def invariant_report_all_labels(lam, r) -> Report:
-    """verify_invariant as a walk over every basis label, each row with
-    its own residual; the reference for its walk over lie_generators."""
+    """verify_invariant as adjoint_action for every basis label, each row
+    with its own residual; the reference for its walk over
+    lie_generators."""
     p = invariants.elementary_invariant(lam, r)
-    labels = range(len(basis_list(lam)))
     checks = tuple(
-        residual_check(f"ad e[{idx.i},{idx.j};{idx.r}] kills x_{r}", q)
-        for idx, q in adjoint_actions(lam, p, labels))
+        residual_check(f"ad e[{idx.i},{idx.j};{idx.r}] kills x_{r}",
+                       adjoint_action(lam, idx, p))
+        for idx in basis_list(lam))
     return Report(f"invariance lambda={lam} r={r}", checks)
 
 
@@ -195,7 +198,8 @@ def transposition_product(a, b) -> PbwElement:
 def adjoint_action(lam, x, p) -> Polynomial:
     """Derivation extending v -> [x, v] on variables, position by position.
 
-    The reference for invariants.adjoint_actions.
+    The reference for the invariance walk, centralizer.adjoint_images on
+    words of positions.
     """
     x = BasisIndex(*x)
     if not is_admissible(lam, x):

@@ -9,6 +9,7 @@ from nilcent import centralizer
 from nilcent.centralizer import (
     BasisIndex,
     UnitMatrix,
+    adjoint_images,
     basis_element,
     basis_list,
     is_admissible,
@@ -230,6 +231,43 @@ class TestStructureConstants:
                 bracket_into(z, x, acc, y)
                 bracket_into(x, y, acc, z)
                 assert all(v == 0 for v in acc.values())
+
+
+class TestAdjointImages:
+    def test_contract(self, monkeypatch):
+        """Letters in place are added inline, only letters out of place
+        reach insert, each row is looked up once per letter of the words,
+        zeros are dropped, and the images come in the order of the labels.
+
+        On lambda = 1,2 the positions 0..4 are e[1,1;0], e[1,2;1],
+        e[2,1;0], e[2,2;0] and e[2,2;1]; the last is central.
+        """
+        lam = Composition((1, 2))
+        words = {(1, 3): 2, (2,): 5, (1, 2): 3}
+        inserted, looked_up = [], []
+
+        class RecordingRow(dict):
+            def get(self, x, default=None):
+                looked_up.append(x)
+                return super().get(x, default)
+
+        sc = structure_constants(lam)
+        monkeypatch.setattr(centralizer, "structure_constants", lambda lam: replace(
+            sc, table=tuple(RecordingRow(row) for row in sc.table)))
+
+        def insert(head, w, tail):
+            inserted.append((head, w, tail))
+            return {tuple(sorted(head + (w,) + tail)): 1}
+
+        basis = basis_list(lam)
+        assert list(adjoint_images(lam, words, [2, 4, 1, 0], insert)) == [
+            (basis[2], {(3, 4): 2, (2, 4): 3, (1, 2): -2}),
+            (basis[4], {}),
+            (basis[1], {(1, 1): 2, (4,): -5, (1, 4): -3}),
+            (basis[0], {(1, 3): 2, (2,): -5}),
+        ]
+        assert inserted == [((), 4, (3,)), ((), 4, (2,))]
+        assert sorted(looked_up) == [1] * 4 + [2] * 4 + [3] * 4
 
 
 class TestUnitMatrix:

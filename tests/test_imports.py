@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, no
 module imports random, every top-level function or class, and every
-method of one, is used somewhere in the package, and every cache in the
-package is bounded.
+method of one, is used somewhere in the package, every cache in the
+package is bounded, and every module.name that a docstring or comment
+cites exists.
 
 Package re-exports in __init__.py and __future__ imports are exempt, and
 a re-export does not count as a use: code that only tests call belongs in
@@ -12,7 +13,11 @@ every composition ever asked for.
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -233,3 +238,39 @@ def test_every_cache_is_bounded():
             path.read_text(),
             vars(importlib.import_module(f"nilcent.{path.stem}")))]
     assert unbounded == []
+
+
+def stale_citations(source: str, modules: dict) -> list[str]:
+    """Each module.name cited in a docstring or a comment of source, for a
+    module that modules maps to its namespace, that the namespace lacks.
+
+    A file name such as module.py is not a citation.
+    """
+    pattern = re.compile(r"\b(%s)\.(?!py\b)([A-Za-z_]\w*)" % "|".join(modules))
+    texts = [tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(source).readline) if tok.type == tokenize.COMMENT]
+    texts += [ast.get_docstring(node, clean=False) or ""
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                   ast.AsyncFunctionDef))]
+    return [m.group(0) for text in texts for m in pattern.finditer(text)
+            if not hasattr(modules[m.group(1)], m.group(2))]
+
+
+def test_the_check_sees_a_stale_citation():
+    modules = {"walk": SimpleNamespace(images=None), "core": SimpleNamespace()}
+    source = ('"""Runs walk.images; see core.py and walk.derivations."""\n\n\n'
+              "def f():\n"
+              '    """Calls walk.images, as core.gone did."""\n'
+              "    # walk.stale, walk.images\n"
+              '    return "walk.unchecked"\n')
+    assert stale_citations(source, modules) == [
+        "walk.stale", "walk.derivations", "core.gone"]
+
+
+def test_every_citation_exists():
+    modules = {p.stem: importlib.import_module(f"nilcent.{p.stem}")
+               for p in MODULES}
+    stale = [f"{path.name}: {name}" for path in MODULES
+             for name in stale_citations(path.read_text(), modules)]
+    assert stale == []

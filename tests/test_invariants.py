@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcent import invariants
-from nilcent.centralizer import BasisIndex, basis_list
+from nilcent.centralizer import BasisIndex, adjoint_images, basis_list, structure_constants
 from nilcent.composition import Composition, invariant_degrees, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.invariants import (
     Polynomial,
-    adjoint_actions,
     elementary_invariant,
     poly_to_json_obj,
     top_symbol,
@@ -45,8 +44,9 @@ def var(i, j, r):
 
 
 def ad(lam, p):
-    """ad e_idx . p keyed by idx, for every basis label."""
-    return dict(adjoint_actions(lam, p, range(len(basis_list(lam)))))
+    """ad e_idx . p keyed by idx, for every basis label, by the
+    per-position oracle."""
+    return {x: adjoint_action(lam, x, p) for x in basis_list(lam)}
 
 
 class TestPolynomial:
@@ -187,7 +187,14 @@ class TestAdjointAction:
     def test_matches_per_position_oracle(self, data):
         lam = data.draw(compositions())
         p = data.draw(polynomials(lam, max_degree=3))
-        for x, q in adjoint_actions(lam, p, range(len(basis_list(lam)))):
+        sc = structure_constants(lam)
+        words = {tuple(sc.index_of[v] for v in mono): c
+                 for mono, c in p.terms.items()}
+        images = adjoint_images(lam, words, range(len(sc.basis)),
+                                invariants._sorted_insert)
+        for x, terms in images:
+            q = Polynomial({tuple(sc.basis[t] for t in w): c
+                            for w, c in terms.items()})
             assert q == adjoint_action(lam, x, p)
 
     def test_verify_invariant_small(self):

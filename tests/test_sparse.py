@@ -9,7 +9,6 @@ from nilcent.composition import Composition
 from nilcent.enveloping import pbw_algebra
 from nilcent.freealg import FreeElement, UPolynomial
 from nilcent.invariants import Polynomial
-from nilcent.sparse import derivation_images
 
 LAM12 = Composition((1, 2))
 
@@ -67,33 +66,3 @@ def test_different_algebras_do_not_multiply():
     with pytest.raises(TypeError):
         pbw * free
 
-
-def test_derivation_images_contract():
-    """Letters in place are added inline, only letters out of place reach
-    insert, image_of is asked only about letters of terms, zeros are
-    dropped, and the images come in the order of the derivations."""
-    terms = {(1, 3): 2, (2,): 5}
-    looked_up, inserted = [], []
-
-    def recording(images):
-        def image_of(x):
-            looked_up.append(x)
-            return images.get(x, ())
-        return image_of
-
-    def insert(head, w, tail):
-        inserted.append((head, w, tail))
-        return {tuple(sorted(head + (w,) + tail)): 1}
-
-    derivations = [
-        ("shift", recording({1: ((4, 1),), 3: ((0, 1), (3, -1)), 9: ((1, 1),)})),
-        ("euler", recording({x: ((x, 1),) for x in (1, 2, 3, 9)})),
-        ("cancel", recording({1: ((1, 1),), 3: ((3, -1),)})),
-    ]
-    assert list(derivation_images(terms, derivations, insert)) == [
-        ("shift", {(3, 4): 2, (0, 1): 2, (1, 3): -2}),
-        ("euler", {(1, 3): 4, (2,): 5}),
-        ("cancel", {}),
-    ]
-    assert inserted == [((), 4, (3,)), ((1,), 0, ())]
-    assert sorted(looked_up) == [1, 1, 1, 2, 2, 2, 3, 3, 3]
