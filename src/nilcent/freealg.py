@@ -165,7 +165,7 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     superscripts nu by
         prod_i (1 - i)^(mu_i - nu_i) * binom(lam_i - nu_i, lam_i - mu_i).
     The determinant depends on nu alone, so the weights are first summed
-    over mu and each nu with a nonzero total costs one determinant.
+    over mu and each nu costs one determinant.
     Identically vanishing symbol words are dropped by the window rule.
     """
     if not lam.is_increasing:
@@ -184,18 +184,16 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
             for i in range(1, n + 1):
                 weight *= (1 - i) ** (mu.part(i) - nu[i - 1])
                 weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu.part(i))
-                if not weight:
-                    break
-            if weight:
-                weights[nu] = weights.get(nu, 0) + weight
+            weights[nu] = weights.get(nu, 0) + weight
+    # nu_1 = mu_1 and nu <= mu <= lam, so every weight is a nonzero integer
+    # of sign (-1)^(r - |nu|): the totals over mu never cancel
     terms: dict = {}
     for nu, weight in weights.items():
-        if weight:
-            det = column_determinant(
-                [[t_symbol(lam, i, j, nu[j - 1]) for j in range(1, n + 1)]
-                 for i in range(1, n + 1)]
-            )
-            accumulate(terms, det.terms.items(), weight)
+        det = column_determinant(
+            [[t_symbol(lam, i, j, nu[j - 1]) for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+        )
+        accumulate(terms, det.terms.items(), weight)
     return FreeElement(terms)
 
 

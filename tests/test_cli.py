@@ -282,6 +282,21 @@ class TestSweep:
             ("slice_restriction", 2, "got p[2,1]"),
             ("slice_bijection", None, "restrict(x_2) = 2*p[2,1]: got p[2,1]")]
 
+    def test_failed_sweep_text_lists_the_failed_rows(self, capsys, monkeypatch):
+        # the prediction for r = 2 of 1,2 alone doubles, as above
+        planted = Composition((1, 2))
+        real = slice_module.expected_restriction
+        monkeypatch.setattr(slice_module, "expected_restriction", lambda lam, r: (
+            real(lam, r) + Polynomial.variable(PVar(2, 1))
+            if (lam, r) == (planted, 2) else real(lam, r)))
+        rc, out, _ = run(capsys, "sweep", "--max-N", "3", "--jobs", "1")
+        assert rc == cli.EXIT_VERIFY
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            "lambda=1,2  N=3  checks=25  FAILED",
+            "  FAIL slice_restriction r=2  got p[2,1]",
+            "  FAIL slice_bijection  restrict(x_2) = 2*p[2,1]: got p[2,1]",
+            "SWEEP FAILED: 7 compositions, 137 checks"]
+
     def test_failed_jacobian_row_names_a_witness(self, monkeypatch):
         # x_3 of 2,1 becomes x_1^2, whose gradient vanishes where x_1 does
         real = slice_module.elementary_invariant
@@ -367,6 +382,15 @@ class TestUsageErrors:
         rc, _, err = run(capsys, "central", "--lambda", "1,2", "--r", "1")
         assert rc == getattr(cli, code)
         assert "error:" in err and "Traceback" not in err
+
+    def test_inadmissible_factor_exit_code(self, capsys, monkeypatch):
+        # a fresh algebra holds no central element, so cdet_mu runs
+        pbw_algebra.cache_clear()
+        monkeypatch.setattr(enveloping, "factors_admissible", lambda lam, mu: False)
+        rc, out, err = run(capsys, "central", "--lambda", "1,2")
+        assert rc == cli.EXIT_VERIFY and out == ""
+        assert err == ("error: inadmissible column-determinant factor "
+                       "for mu=0,1\n")
 
     @pytest.mark.parametrize("argv", [["slice", "--lambda", "1,2"],
                                       ["sweep", "--max-N", "1"]])

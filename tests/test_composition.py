@@ -51,6 +51,10 @@ class TestComposition:
         with pytest.raises(ValueError, match="positive integers"):
             Composition(parts)
 
+    def test_rejects_no_parts(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            Composition(())
+
     def test_rejects_oversized_total(self):
         with pytest.raises(ValueError):
             Composition((65,))
@@ -114,6 +118,13 @@ class TestMinLength:
                     mu.length for mu in weight_subcompositions(lam, r)
                 )
                 assert min_length(lam, r) == brute
+
+    def test_subcompositions_out_of_range(self):
+        lam = Composition((1, 2))
+        assert [mu.parts for mu in weight_subcompositions(lam, 0)] == [(0, 0)]
+        for r in (-1, 4):
+            with pytest.raises(ValueError, match=r"weight must lie in 0\.\.3"):
+                list(weight_subcompositions(lam, r))
 
     def test_out_of_range(self):
         lam = Composition((1, 2))
@@ -220,6 +231,10 @@ class TestMonotoneCompositions:
         assert [c.parts for c in got] == [(1, 1, 1), (1, 2), (3,), (2, 1)]
         inc = [c for c in got if c.is_increasing]
         assert [c.parts for c in inc] == [(1, 1, 1), (1, 2), (3,)]
+
+    def test_rejects_nonpositive_total(self):
+        with pytest.raises(ValueError, match="total must be positive"):
+            monotone_compositions(0)
 
     def test_all_monotone_and_complete(self):
         for total in range(1, 7):

@@ -4,11 +4,11 @@ method of one, is used somewhere in the package, every cache in the
 package is bounded, and every module.name that a docstring or comment
 cites exists.
 
-Package re-exports in __init__.py and __future__ imports are exempt, and
-a re-export does not count as a use: code that only tests call belongs in
-tests/oracles.py.  A cache holds the state of one composition, so its
-bound says how long that state lives; an unbounded one keeps the state of
-every composition ever asked for.
+__future__ imports are exempt.  The package root __init__.py is checked
+like every module, so it holds no re-export, and code that only tests
+call belongs in tests/oracles.py.  A cache holds the state of one
+composition, so its bound says how long that state lives; an unbounded
+one keeps the state of every composition ever asked for.
 """
 
 import ast
@@ -23,8 +23,7 @@ import pytest
 
 import nilcent
 
-MODULES = sorted(p for p in Path(nilcent.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(nilcent.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

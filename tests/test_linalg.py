@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcent import centralizer, slice as slice_module
 from nilcent.composition import Composition
-from nilcent.linalg import column_determinant, echelon_add, rational_rank
+from nilcent.linalg import column_determinant, echelon_add, format_scalar, rational_rank
 
 from oracles import normalising_add, normalising_rank
 
@@ -39,6 +40,13 @@ def integer_matrices(draw):
             for j in range(n_cols)
         ]
     return matrix
+
+
+def test_format_scalar():
+    assert [format_scalar(c) for c in (3, Fraction(-1, 2), Fraction(4, 2))] == [
+        "3", "-1/2", "2"]
+    with pytest.raises(TypeError, match="not an exact scalar: 1.5"):
+        format_scalar(1.5)
 
 
 class TestRationalRank:
