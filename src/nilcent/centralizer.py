@@ -25,7 +25,9 @@ elements over words of positions, read straight off the table rows, in
 the enveloping and the symmetric algebra alike; the caller supplies
 only how a letter out of place is put back in order.
 annihilator_checks, the centrality and invariance check, runs it on
-the generators before every label.
+the generators before every label.  determinant_sum is the paper's sum
+over mu of column determinants in the labels e[a,b;mu_b - 1], behind z_r
+and x_r alike.  LABEL spells a label, for str.format.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .composition import Composition, shift
-from .linalg import echelon_add, rational_rank
+from .composition import Composition, enumerate_mu, shift
+from .linalg import column_determinant, echelon_add, rational_rank
 from .reports import Check, Report, residual_check
 from .sparse import SparseElement, accumulate
 
@@ -46,6 +48,9 @@ class BasisIndex(NamedTuple):
     i: int
     j: int
     r: int
+
+
+LABEL = "e[{0.i},{0.j};{0.r}]"
 
 
 def row_start(lam: Composition, i: int) -> int:
@@ -245,6 +250,27 @@ def annihilator_checks(lam: Composition, words: dict, insert, residual,
     return tuple(Check(name(idx), True) for idx in basis)
 
 
+def determinant_sum(lam: Composition, r: int, entry) -> dict:
+    """Terms of the sum over mu in enumerate_mu(lam, r) of the column
+    determinant of entry(e[a,b;mu_b - 1]), a and b in the support of mu.
+
+    Each label is checked admissible first; for a minimal mu none fails.
+    """
+    terms: dict = {}
+    for mu in enumerate_mu(lam, r):
+        supp = [b for b, p in enumerate(mu, start=1) if p]
+        labels = [[BasisIndex(a, b, mu[b - 1] - 1) for b in supp]
+                  for a in supp]
+        bad = [x for row in labels for x in row if not is_admissible(lam, x)]
+        if bad:
+            raise RuntimeError(
+                "inadmissible column-determinant factor "
+                f"{LABEL.format(bad[0])} for mu={','.join(map(str, mu))}")
+        det = column_determinant([[entry(x) for x in row] for row in labels])
+        accumulate(terms, det.terms.items())
+    return terms
+
+
 def verify_centralizer(lam: Composition) -> Report:
     """Commutation with the nilpotent, dimension count, bracket grading."""
     sc = structure_constants(lam)
@@ -259,7 +285,7 @@ def verify_centralizer(lam: Composition) -> Report:
     rank = rational_rank([m.terms for m in mats])
     dim_ok = len(basis) == expected_dim and rank == expected_dim
 
-    label = "e[{0.i},{0.j};{0.r}]".format
+    label = LABEL.format
     misgraded = next((
         f"[{label(x)}, {label(basis[b])}] has term {label(basis[z])}"
         for x, row in zip(basis, sc.table) for b, terms in row.items()

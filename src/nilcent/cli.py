@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import enveloping
-from .centralizer import basis_list, unit_support, verify_centralizer
+from .centralizer import LABEL, basis_list, unit_support, verify_centralizer
 from .composition import (MAX_TOTAL, Composition, invariant_degrees, min_length,
                           monotone_compositions)
 from .enveloping import central_element, filtration_degree, pbw_to_json_obj, verify_central
@@ -179,7 +179,7 @@ def _basis(lam: Composition, ns) -> tuple:
     obj = {"schema": 1, "lambda": lam.to_string(), "dim": len(basis),
            "basis": [{"index": list(idx), "units": [list(u) for u in us]}
                      for idx, us in zip(basis, units)]}
-    lines = [f"e[{idx.i},{idx.j};{idx.r}] = "
+    lines = [f"{LABEL} = ".format(idx)
              + " + ".join(f"E({h},{k})" for h, k in us)
              for idx, us in zip(basis, units)]
     return obj, lines + [f"dim = {len(basis)}"], True

@@ -6,7 +6,9 @@ every basis label downstream) depends on the order of the parts.  The
 module provides the degree sequence of the generating invariants, the
 enumeration of subcompositions of a given weight with as few nonzero parts
 as possible, and the shift s_{i,j} = lam_j - min(lam_i, lam_j) that
-bounds from below the degrees admissible for the row pair (i, j).
+bounds from below the degrees admissible for the row pair (i, j).  A
+subcomposition mu is a plain tuple of parts 0 <= mu_i <= lam_i, built here
+alone; centralizer.determinant_sum walks the minimal ones.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ class Composition:
 
     @classmethod
     def from_string(cls, text: str) -> "Composition":
-        """Parse a comma separated list of parts, e.g. ``"2,3,4"``."""
-        try:
-            parts = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse composition from {text!r}") from None
-        return cls(parts)
+        """Parse comma separated parts, e.g. ``"2,3,4"``, each ASCII digits:
+        int() alone would also read "1_0", "+2" and fullwidth digits."""
+        parts = [p.strip() for p in text.split(",")]
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(f"cannot parse composition from {text!r}")
+        return cls(tuple(map(int, parts)))
 
     def to_string(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -79,50 +81,6 @@ class Composition:
         return self.to_string()
 
 
-@dataclass(frozen=True)
-class SubComposition:
-    """A componentwise bounded tuple 0 <= mu_i <= lambda_i.
-
-    Immutable so that weight, length and support can never go stale.
-    """
-
-    parent: Composition
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        # type, not isinstance, for the reason given in Composition
-        if any(type(p) is not int for p in parts):
-            raise ValueError(f"parts must be integers, got {parts}")
-        bounds = self.parent.parts
-        if len(parts) != len(bounds):
-            raise ValueError(
-                f"expected {len(bounds)} parts for parent {self.parent}, got {parts}"
-            )
-        if any(p < 0 or p > b for p, b in zip(parts, bounds)):
-            raise ValueError(f"parts {parts} not bounded by {bounds}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        """Number of nonzero parts."""
-        return sum(1 for p in self.parts if p)
-
-    def part(self, i: int) -> int:
-        return self.parts[i - 1]
-
-    def support(self) -> tuple[int, ...]:
-        """1-based positions of the nonzero parts, in increasing order."""
-        return tuple(i for i, p in enumerate(self.parts, start=1) if p)
-
-    def __str__(self):
-        return ",".join(str(p) for p in self.parts)
-
-
 @lru_cache(maxsize=1)
 def invariant_degrees(lam: Composition) -> tuple[int, ...]:
     """Degree sequence (d_1, ..., d_N) of the N generating invariants.
@@ -144,6 +102,12 @@ def require_weight(lam: Composition, r: int) -> None:
         raise ValueError(f"weight must lie in 1..{lam.N}, got {r}")
 
 
+def require_increasing(lam: Composition, what: str) -> None:
+    """Raise ValueError unless the parts of lam weakly increase."""
+    if not lam.is_increasing:
+        raise ValueError(f"{what} needs weakly increasing parts, got {lam}")
+
+
 def min_length(lam: Composition, r: int) -> int:
     """Fewest nonzero parts over subcompositions of lam with weight r.
 
@@ -155,11 +119,11 @@ def min_length(lam: Composition, r: int) -> int:
         total += p
         if total >= r:
             return d
-    raise AssertionError("unreachable: r <= N")
+    raise RuntimeError("unreachable: r <= N")
 
 
 def weight_subcompositions(lam: Composition, r: int):
-    """All subcompositions of weight r, ascending lexicographic in the parts."""
+    """All weight-r subcompositions as part tuples, ascending lexicographic."""
     if not 0 <= r <= lam.N:
         raise ValueError(f"weight must lie in 0..{lam.N}, got {r}")
     bounds = lam.parts
@@ -171,7 +135,7 @@ def weight_subcompositions(lam: Composition, r: int):
 
     def rec(i: int, remaining: int):
         if i == n:
-            yield SubComposition(lam, tuple(prefix))
+            yield tuple(prefix)
             return
         low = max(0, remaining - suffix[i + 1])
         high = min(bounds[i], remaining)
@@ -184,33 +148,24 @@ def weight_subcompositions(lam: Composition, r: int):
 
 
 @lru_cache(maxsize=MAX_TOTAL)
-def enumerate_mu(lam: Composition, r: int) -> tuple[SubComposition, ...]:
+def enumerate_mu(lam: Composition, r: int) -> tuple[tuple[int, ...], ...]:
     """Weight-r subcompositions with the minimal number of nonzero parts.
 
     Returned in ascending lexicographic order of the part tuples; never
     empty for 1 <= r <= N.
     """
     d = min_length(lam, r)
-    out = tuple(mu for mu in weight_subcompositions(lam, r) if mu.length == d)
-    assert out, f"no subcomposition of weight {r} and length {d} under {lam}"
+    out = tuple(mu for mu in weight_subcompositions(lam, r)
+                if len(mu) - mu.count(0) == d)
+    if not out:
+        raise RuntimeError(
+            f"no subcomposition of weight {r} and length {d} under {lam}")
     return out
 
 
 def shift(lam: Composition, i: int, j: int) -> int:
     """Entry s_{i,j} = lam_j - min(lam_i, lam_j) of the shift matrix, 1-based."""
     return lam.part(j) - min(lam.part(i), lam.part(j))
-
-
-def factors_admissible(lam: Composition, mu: SubComposition) -> bool:
-    """Whether every factor of the column determinant for mu is admissible.
-
-    Rows and columns are the support of mu; the factor in row a, column b
-    has degree mu_b - 1, which is admissible exactly when mu_b exceeds the
-    shift matrix entry s_{a,b}.  Every (row, column) pair is a factor of
-    some permutation, so this covers every summand.
-    """
-    supp = mu.support()
-    return all(mu.part(b) > shift(lam, a, b) for a in supp for b in supp)
 
 
 def monotone_compositions(total: int) -> list[Composition]:

@@ -12,12 +12,14 @@ lemma its result does not depend on the order of the rewriting.  The
 centrality check hands the normal form and this insertion to
 centralizer.annihilator_checks, whose walk, centralizer.adjoint_images,
 applies ad e as a derivation and puts each bracket term back in order
-by the insertion.  Insertions into unsorted words are
-memoised per word inside a per-composition context, pbw_algebra(lam),
-which holds the memo and the central elements built so far; it lives
-until another composition is asked for.  Words are of basis positions;
-the basis, its index and the bracket rows come from structure_constants,
-which interns them, and all public interfaces speak BasisIndex.
+by the insertion.  central_element is centralizer.determinant_sum with
+the shifted generators, tilde, as entries, each summand multiplied in
+column order.  Insertions into unsorted words are memoised per word
+inside a per-composition context, pbw_algebra(lam), which holds the memo
+and the central elements built so far; it lives until another
+composition is asked for.  Words are of basis positions; the basis, its
+index and the bracket rows come from structure_constants, which interns
+them, and all public interfaces speak BasisIndex.
 """
 
 from __future__ import annotations
@@ -25,16 +27,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
-from .centralizer import BasisIndex, annihilator_checks, structure_constants
-from .composition import (
-    Composition,
-    SubComposition,
-    enumerate_mu,
-    factors_admissible,
-    invariant_degrees,
-    require_weight,
-)
-from .linalg import column_determinant, format_scalar
+from .centralizer import (LABEL, BasisIndex, annihilator_checks,
+                          determinant_sum, structure_constants)
+from .composition import Composition
+from .linalg import format_scalar
 from .reports import Report
 from .sparse import SparseElement, accumulate
 
@@ -145,9 +141,7 @@ class PbwElement(SparseElement):
 
     def _format_monomial(self, word) -> str:
         basis = self.algebra.basis
-        return "*".join(
-            f"e[{basis[t].i},{basis[t].j};{basis[t].r}]" for t in word
-        ) or "1"
+        return "*".join(LABEL.format(basis[t]) for t in word) or "1"
 
     def index_terms(self):
         """Yield (tuple of BasisIndex, coefficient) pairs, canonically ordered."""
@@ -195,39 +189,12 @@ def filtration_degree(a: PbwElement) -> int:
     return max(len(m) for m in a.terms)
 
 
-def cdet_mu(lam: Composition, mu) -> PbwElement:
-    """Column determinant attached to a minimal-length subcomposition.
-
-    Matrix rows and columns are labelled by the support of mu; the entry in
-    row i, column j is the shifted generator of label (i, j) and degree
-    mu_j - 1, and each summand multiplies its factors in column order.
-    """
-    if not isinstance(mu, SubComposition):
-        mu = SubComposition(lam, tuple(mu))
-    if mu.weight < 1 or mu.length != invariant_degrees(lam)[mu.weight - 1]:
-        raise ValueError(
-            f"subcomposition {mu} does not have minimal length for weight {mu.weight}"
-        )
-    if not factors_admissible(lam, mu):
-        raise RuntimeError(f"inadmissible column-determinant factor for mu={mu}")
-    supp = mu.support()
-    alg = pbw_algebra(lam)
-    return column_determinant(
-        [[alg.tilde(BasisIndex(row, col, mu.part(col) - 1)) for col in supp]
-         for row in supp]
-    )
-
-
 def central_element(lam: Composition, r: int) -> PbwElement:
-    """The weight-r generator: sum of column determinants over enumerate_mu."""
-    require_weight(lam, r)
+    """The weight-r generator: determinant_sum of the shifted generators."""
     alg = pbw_algebra(lam)
     terms = alg._central.get(r)
     if terms is None:
-        terms = {}
-        for mu in enumerate_mu(lam, r):
-            accumulate(terms, cdet_mu(lam, mu).terms.items())
-        alg._central[r] = terms
+        terms = alg._central[r] = determinant_sum(lam, r, alg.tilde)
     return PbwElement(alg, terms)
 
 
@@ -238,7 +205,7 @@ def verify_central(lam: Composition, r: int) -> Report:
     # [z, e_y] is the negative of ad e_y . z
     checks = annihilator_checks(
         lam, z.terms, alg._insert, lambda terms: -PbwElement(alg, terms),
-        f"[z_{r}, e[{{0.i}},{{0.j}};{{0.r}}]] = 0".format)
+        f"[z_{r}, {LABEL}] = 0".format)
     return Report(
         f"centrality lambda={lam} r={r} ({len(z.terms)} normal-form terms)",
         checks,

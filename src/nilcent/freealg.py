@@ -30,6 +30,7 @@ from .centralizer import BasisIndex
 from .composition import (
     Composition,
     invariant_degrees,
+    require_increasing,
     require_weight,
     shift,
     weight_subcompositions,
@@ -135,10 +136,7 @@ def z_polynomial(lam: Composition) -> tuple[FreeElement, ...]:
     u; Z_r is the coefficient of u^(N - r).  Requires weakly increasing
     parts.
     """
-    if not lam.is_increasing:
-        raise ValueError(
-            f"the symbol determinant needs weakly increasing parts, got {lam}"
-        )
+    require_increasing(lam, "the symbol determinant")
     n = lam.n
     matrix = [
         [t_entry_polynomial(lam, i, j) for j in range(1, n + 1)]
@@ -168,22 +166,19 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     over mu and each nu costs one determinant.
     Identically vanishing symbol words are dropped by the window rule.
     """
-    if not lam.is_increasing:
-        raise ValueError(
-            f"the symbol expansion needs weakly increasing parts, got {lam}"
-        )
+    require_increasing(lam, "the symbol expansion")
     require_weight(lam, r)
     n = lam.n
     weights: dict[tuple, int] = {}
     for mu in weight_subcompositions(lam, r):
-        nu_ranges = [range(mu.part(1), mu.part(1) + 1)] + [
-            range(0, mu.part(i) + 1) for i in range(2, n + 1)
+        nu_ranges = [range(mu[0], mu[0] + 1)] + [
+            range(0, mu[i - 1] + 1) for i in range(2, n + 1)
         ]
         for nu in itertools.product(*nu_ranges):
             weight = 1
             for i in range(1, n + 1):
-                weight *= (1 - i) ** (mu.part(i) - nu[i - 1])
-                weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu.part(i))
+                weight *= (1 - i) ** (mu[i - 1] - nu[i - 1])
+                weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu[i - 1])
             weights[nu] = weights.get(nu, 0) + weight
     # nu_1 = mu_1 and nu <= mu <= lam, so every weight is a nonzero integer
     # of sign (-1)^(r - |nu|): the totals over mu never cancel

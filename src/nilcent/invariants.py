@@ -2,10 +2,11 @@
 
 The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
-filtration degree.  verify_invariant checks that ad of every basis
-generator, the derivation extending the bracket, kills an elementary
-invariant: it rewrites the monomials as words of basis positions and
-hands them to centralizer.annihilator_checks, whose walk,
+filtration degree.  elementary_invariant is centralizer.determinant_sum
+with the labels as commutative variables.  verify_invariant checks that
+ad of every basis generator, the derivation extending the bracket, kills
+an elementary invariant: it rewrites the monomials as words of basis
+positions and hands them to centralizer.annihilator_checks, whose walk,
 centralizer.adjoint_images, the centrality check also runs, with each
 bracket term sorted into its monomial.  Polynomial supplies ring
 arithmetic only: the slice restriction and the Jacobian read what they
@@ -18,11 +19,12 @@ import itertools
 from bisect import insort
 from functools import lru_cache
 
-from .centralizer import BasisIndex, annihilator_checks, structure_constants
-from .composition import MAX_TOTAL, Composition, enumerate_mu, require_weight
-from .linalg import column_determinant, format_scalar
+from .centralizer import (LABEL, BasisIndex, annihilator_checks,
+                          determinant_sum, structure_constants)
+from .composition import MAX_TOTAL, Composition
+from .linalg import format_scalar
 from .reports import Report
-from .sparse import SparseElement, accumulate
+from .sparse import SparseElement
 
 
 class Polynomial(SparseElement):
@@ -54,7 +56,7 @@ class Polynomial(SparseElement):
 
 def _format_variable(v) -> str:
     if isinstance(v, BasisIndex):
-        return f"e[{v.i},{v.j};{v.r}]"
+        return LABEL.format(v)
     if isinstance(v, tuple) and len(v) == 2:
         return f"p[{v[0]},{v[1]}]"
     return str(v)
@@ -79,22 +81,12 @@ def top_symbol(a) -> Polynomial:
 
 @lru_cache(maxsize=MAX_TOTAL)
 def elementary_invariant(lam: Composition, r: int) -> Polynomial:
-    """Degree d_r invariant: commutative determinant sum over enumerate_mu.
+    """Degree d_r invariant: determinant_sum over commutative labels.
 
     Built directly in the symmetric algebra, without shifts, so it can
     serve as an independent target for top_symbol(central_element).
     """
-    require_weight(lam, r)
-    terms: dict = {}
-    for mu in enumerate_mu(lam, r):
-        supp = mu.support()
-        det = column_determinant(
-            [[Polynomial.variable(BasisIndex(row, col, mu.part(col) - 1))
-              for col in supp]
-             for row in supp]
-        )
-        accumulate(terms, det.terms.items())
-    return Polynomial(terms)
+    return Polynomial(determinant_sum(lam, r, Polynomial.variable))
 
 
 def _sorted_insert(head: tuple, v, tail: tuple) -> dict:
@@ -115,7 +107,7 @@ def verify_invariant(lam: Composition, r: int) -> Report:
         lam, words, _sorted_insert,
         lambda terms: Polynomial({tuple(sc.basis[t] for t in w): c
                                   for w, c in terms.items()}),
-        f"ad e[{{0.i}},{{0.j}};{{0.r}}] kills x_{r}".format)
+        f"ad {LABEL} kills x_{r}".format)
     return Report(f"invariance lambda={lam} r={r}", checks)
 
 

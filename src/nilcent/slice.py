@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .centralizer import BasisIndex, is_admissible
-from .composition import Composition, invariant_degrees, require_weight
+from .composition import (Composition, invariant_degrees, require_increasing,
+                          require_weight)
 from .invariants import Polynomial, elementary_invariant
 from .linalg import rational_rank
 from .reports import Check, Report
@@ -33,16 +34,9 @@ class PVar(NamedTuple):
     t: int
 
 
-def _require_increasing(lam: Composition):
-    if not lam.is_increasing:
-        raise ValueError(
-            f"slice evaluation needs weakly increasing parts, got {lam}"
-        )
-
-
 def slice_coordinates(lam: Composition) -> tuple[PVar, ...]:
     """All N coordinates, ordered by row then offset."""
-    _require_increasing(lam)
+    require_increasing(lam, "slice evaluation")
     return tuple(
         PVar(j, t) for j in range(1, lam.n + 1) for t in range(lam.part(j))
     )
@@ -73,7 +67,7 @@ def restrict(lam: Composition, p: Polynomial) -> Polynomial:
     Each variable evaluates to 0, 1 or a single coordinate, so monomials
     map to monomials and this is the induced algebra homomorphism.
     """
-    _require_increasing(lam)
+    require_increasing(lam, "slice evaluation")
     values: dict = {}
     out: dict = {}
     for mono, c in p.terms.items():
@@ -97,7 +91,7 @@ def expected_restriction(lam: Composition, r: int) -> Polynomial:
     With d = d_r and s = r - (lam_n + ... + lam_{n-d+2}), the prediction
     is (-1)^(d-1) p[n-d+1, s-1].
     """
-    _require_increasing(lam)
+    require_increasing(lam, "slice evaluation")
     require_weight(lam, r)
     d = invariant_degrees(lam)[r - 1]
     n = lam.n
@@ -108,7 +102,7 @@ def expected_restriction(lam: Composition, r: int) -> Polynomial:
 
 def verify_slice_coordinates(lam: Composition) -> Report:
     """Slice values of all N invariants, plus bijectivity onto coordinates."""
-    _require_increasing(lam)
+    require_increasing(lam, "slice evaluation")
     checks = []
     hit: dict[PVar, int] = {}
     for r in range(1, lam.N + 1):

@@ -276,14 +276,14 @@ def binomial_z_expansion_by_pairs(lam, r: int) -> FreeElement:
     n = lam.n
     total = FreeElement.zero()
     for mu in weight_subcompositions(lam, r):
-        nu_ranges = [range(mu.part(1), mu.part(1) + 1)] + [
-            range(0, mu.part(i) + 1) for i in range(2, n + 1)
+        nu_ranges = [range(mu[0], mu[0] + 1)] + [
+            range(0, mu[i - 1] + 1) for i in range(2, n + 1)
         ]
         for nu in itertools.product(*nu_ranges):
             weight = 1
             for i in range(1, n + 1):
-                weight *= (1 - i) ** (mu.part(i) - nu[i - 1])
-                weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu.part(i))
+                weight *= (1 - i) ** (mu[i - 1] - nu[i - 1])
+                weight *= comb(lam.part(i) - nu[i - 1], lam.part(i) - mu[i - 1])
                 if not weight:
                     break
             if not weight:

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from nilcent import cli, enveloping, invariants
+from nilcent import centralizer, cli, composition, enveloping, invariants
 from nilcent import slice as slice_module
 from nilcent.centralizer import BasisIndex, lie_generators, structure_constants
 from nilcent.composition import Composition, invariant_degrees
@@ -384,13 +384,36 @@ class TestUsageErrors:
         assert "error:" in err and "Traceback" not in err
 
     def test_inadmissible_factor_exit_code(self, capsys, monkeypatch):
-        # a fresh algebra holds no central element, so cdet_mu runs
+        # a fresh algebra holds no central element, so determinant_sum runs
         pbw_algebra.cache_clear()
-        monkeypatch.setattr(enveloping, "factors_admissible", lambda lam, mu: False)
+        monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: False)
         rc, out, err = run(capsys, "central", "--lambda", "1,2")
         assert rc == cli.EXIT_VERIFY and out == ""
         assert err == ("error: inadmissible column-determinant factor "
-                       "for mu=0,1\n")
+                       "e[2,2;0] for mu=0,1\n")
+
+    def test_inadmissible_invariant_factor_exit_code(self, capsys,
+                                                     monkeypatch):
+        invariants.elementary_invariant.cache_clear()
+        monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: False)
+        rc, out, err = run(capsys, "invariants", "--lambda", "1,2")
+        assert rc == cli.EXIT_VERIFY and out == ""
+        assert err == ("error: inadmissible column-determinant factor "
+                       "e[2,2;0] for mu=0,1\n")
+
+    def test_no_minimal_subcomposition_exit_code(self, capsys, monkeypatch):
+        """The guard in enumerate_mu holds under python -O too."""
+        composition.enumerate_mu.cache_clear()
+        pbw_algebra.cache_clear()
+        monkeypatch.setattr(composition, "weight_subcompositions",
+                            lambda lam, r: iter(()))
+        try:
+            rc, out, err = run(capsys, "central", "--lambda", "1,2")
+        finally:
+            composition.enumerate_mu.cache_clear()
+        assert rc == cli.EXIT_VERIFY and out == ""
+        assert err == ("error: no subcomposition of weight 1 and length 1 "
+                       "under 1,2\n")
 
     @pytest.mark.parametrize("argv", [["slice", "--lambda", "1,2"],
                                       ["sweep", "--max-N", "1"]])

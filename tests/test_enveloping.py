@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcent import enveloping
-from nilcent.centralizer import BasisIndex, adjoint_images, basis_list, structure_constants
-from nilcent.composition import Composition, SubComposition, monotone_compositions
+from nilcent.centralizer import (
+    BasisIndex,
+    adjoint_images,
+    basis_list,
+    determinant_sum,
+    structure_constants,
+)
+from nilcent.composition import Composition, enumerate_mu, monotone_compositions
 from nilcent.enveloping import (
     PbwElement,
-    cdet_mu,
     central_element,
     filtration_degree,
     pbw_algebra,
@@ -267,12 +272,20 @@ class TestCommutator:
 
 
 class TestCdet:
+    """determinant_sum at weights with a single mu: one column determinant
+    of shifted generators."""
+
+    @staticmethod
+    def cdet(lam, r, mu):
+        assert enumerate_mu(lam, r) == (mu,)
+        alg = pbw_algebra(lam)
+        return PbwElement(alg, determinant_sum(lam, r, alg.tilde))
+
     def test_single_entry_example(self):
-        got = cdet_mu(LAM12, SubComposition(LAM12, (0, 1)))
-        assert got == embed(LAM12, (2, 2, 0)) - 2
+        assert self.cdet(LAM12, 2, (0, 2)) == embed(LAM12, (2, 2, 1))
 
     def test_two_by_two_example(self):
-        got = cdet_mu(LAM12, SubComposition(LAM12, (1, 2)))
+        got = self.cdet(LAM12, 3, (1, 2))
         assert words(got) == {
             (BasisIndex(1, 1, 0), BasisIndex(2, 2, 1)): 1,
             (BasisIndex(1, 2, 1), BasisIndex(2, 1, 0)): -1,
@@ -281,17 +294,7 @@ class TestCdet:
 
     def test_single_block(self):
         lam = Composition((5,))
-        got = cdet_mu(lam, SubComposition(lam, (3,)))
-        assert got == embed(lam, (1, 1, 2))
-
-    def test_rejects_non_minimal_mu(self):
-        with pytest.raises(ValueError):
-            cdet_mu(LAM12, SubComposition(LAM12, (1, 1)))
-
-    def test_rejects_parts_that_are_not_ints(self):
-        """A float part is not truncated into a valid subcomposition."""
-        with pytest.raises(ValueError, match="parts must be integers"):
-            cdet_mu(LAM12, (1.9, 0))
+        assert self.cdet(lam, 3, (3,)) == embed(lam, (1, 1, 2))
 
 
 class TestCentralElements:

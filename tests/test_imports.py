@@ -1,8 +1,8 @@
 """Every module-level import in the package is used by its module, no
-module imports random, every top-level function or class, and every
-method of one, is used somewhere in the package, every cache in the
-package is bounded, and every module.name that a docstring or comment
-cites exists.
+module imports random or has an assert statement, every top-level
+function or class, and every method of one, is used somewhere in the
+package, every cache in the package is bounded, and every module.name
+that a docstring or comment cites exists.
 
 __future__ imports are exempt.  The package root __init__.py is checked
 like every module, so it holds no re-export, and code that only tests
@@ -74,6 +74,25 @@ def test_the_check_sees_a_random_import():
 
 def test_no_module_imports_random():
     assert [p.name for p in MODULES if imports_random(p.read_text())] == []
+
+
+def has_assert(source: str) -> bool:
+    """Whether an assert statement occurs at any depth.
+
+    python -O strips asserts, and an AssertionError escapes the command
+    line as a traceback; a check the program relies on raises
+    RuntimeError, which exits 3 with an error line.
+    """
+    return any(isinstance(n, ast.Assert) for n in ast.walk(ast.parse(source)))
+
+
+def test_the_check_sees_an_assert():
+    assert has_assert("def f(x):\n    if x:\n        assert x, 'no'\n")
+    assert not has_assert("def f(x):\n    raise AssertionError('assert')\n")
+
+
+def test_no_module_has_an_assert():
+    assert [p.name for p in MODULES if has_assert(p.read_text())] == []
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
