@@ -37,9 +37,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .composition import Composition, enumerate_mu, shift
-from .linalg import column_determinant, echelon_add, rational_rank
+from .linalg import (SparseElement, accumulate, column_determinant, echelon_add,
+                     rational_rank)
 from .reports import Check, Report, residual_check
-from .sparse import SparseElement, accumulate
 
 
 class BasisIndex(NamedTuple):
@@ -90,10 +90,15 @@ def is_admissible(lam: Composition, idx: BasisIndex) -> bool:
     return shift(lam, i, j) <= r < lam.part(j)
 
 
+def inadmissible_label(lam: Composition, idx) -> ValueError:
+    """The error raised for a label outside the basis of lam."""
+    return ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
+
+
 def unit_support(lam: Composition, idx: BasisIndex) -> tuple[tuple[int, int], ...]:
     """The matrix units (h, k) summed by e[i,j;r], in column order."""
     if not is_admissible(lam, idx):
-        raise ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
+        raise inadmissible_label(lam, idx)
     i, j, r = idx
     si, sj = row_start(lam, i), row_start(lam, j)
     count = min(lam.part(i), lam.part(j) - r)
@@ -278,7 +283,7 @@ def verify_centralizer(lam: Composition) -> Report:
     mats = [basis_element(lam, idx) for idx in basis]
     e = nilpotent_matrix(lam)
 
-    commute = all(matrix_commutator(m, e).is_zero() for m in mats)
+    commute = all(not matrix_commutator(m, e) for m in mats)
     expected_dim = sum(
         min(p, q) for p in lam.parts for q in lam.parts
     )

@@ -28,11 +28,11 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .centralizer import (LABEL, BasisIndex, annihilator_checks,
-                          determinant_sum, structure_constants)
+                          determinant_sum, inadmissible_label,
+                          structure_constants)
 from .composition import Composition
-from .linalg import format_scalar
+from .linalg import SparseElement, accumulate, format_scalar
 from .reports import Report
-from .sparse import SparseElement, accumulate
 
 
 class PbwAlgebra:
@@ -53,7 +53,7 @@ class PbwAlgebra:
     def embed(self, idx) -> "PbwElement":
         t = self.index_of.get(BasisIndex(*idx))
         if t is None:
-            raise ValueError(f"inadmissible label {tuple(idx)} for lambda={self.lam}")
+            raise inadmissible_label(self.lam, idx)
         return PbwElement(self, {(t,): 1})
 
     def tilde(self, idx) -> "PbwElement":
@@ -172,7 +172,7 @@ def product_sum(lam: Composition, terms: dict) -> PbwElement:
         for x in word[shared:]:
             z = alg.index_of.get(x)
             if z is None:
-                raise ValueError(f"inadmissible label {tuple(x)} for lambda={lam}")
+                raise inadmissible_label(lam, x)
             image: dict = {}
             for w, c in stack[-1].items():
                 accumulate(image, insert(w, z, ()).items(), c)
@@ -184,7 +184,7 @@ def product_sum(lam: Composition, terms: dict) -> PbwElement:
 
 def filtration_degree(a: PbwElement) -> int:
     """Length of the longest monomial; undefined on zero."""
-    if a.is_zero():
+    if not a:
         raise ValueError("the zero element has no filtration degree")
     return max(len(m) for m in a.terms)
 

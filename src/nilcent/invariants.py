@@ -22,9 +22,8 @@ from functools import lru_cache
 from .centralizer import (LABEL, BasisIndex, annihilator_checks,
                           determinant_sum, structure_constants)
 from .composition import MAX_TOTAL, Composition
-from .linalg import format_scalar
+from .linalg import SparseElement, format_scalar
 from .reports import Report
-from .sparse import SparseElement
 
 
 class Polynomial(SparseElement):
@@ -68,7 +67,7 @@ def top_symbol(a) -> Polynomial:
     Normal-form words of maximal length are reread as commutative
     monomials in the basis labels.
     """
-    if a.is_zero():
+    if not a:
         raise ValueError("the zero element has no top symbol")
     top = max(len(m) for m in a.terms)
     basis = a.algebra.basis

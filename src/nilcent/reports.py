@@ -46,7 +46,7 @@ class Report:
 def residual_check(name: str, residual) -> Check:
     """Passes when a sparse element is zero; a failure names its size and
     its leading term."""
-    if residual.is_zero():
+    if not residual:
         return Check(name, True)
     return Check(name, False, f"residual has {len(residual.terms)} terms, "
                               f"leading {residual.leading_term()!r}")

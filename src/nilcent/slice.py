@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .centralizer import BasisIndex, is_admissible
+from .centralizer import BasisIndex, inadmissible_label, is_admissible
 from .composition import (Composition, invariant_degrees, require_increasing,
                           require_weight)
 from .invariants import Polynomial, elementary_invariant
-from .linalg import rational_rank
+from .linalg import accumulate, rational_rank
 from .reports import Check, Report
-from .sparse import accumulate
 
 
 class PVar(NamedTuple):
@@ -54,7 +53,7 @@ def base_point(lam: Composition) -> dict[BasisIndex, int]:
 def _slice_value(lam: Composition, idx):
     """Slice value of one basis label: its coordinate, 1, or None for 0."""
     if not is_admissible(lam, idx):
-        raise ValueError(f"inadmissible label {tuple(idx)} for lambda={lam}")
+        raise inadmissible_label(lam, idx)
     i, j, r = idx
     if i == lam.n:
         return PVar(j, r)

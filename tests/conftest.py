@@ -75,7 +75,7 @@ def free_elements(max_len: int = 2, max_terms: int = 3):
                      min_size=0, max_size=max_terms)
 
     def build(ps):
-        e = FreeElement.zero()
+        e = FreeElement({})
         for w, c in ps:
             e = e + FreeElement({w: c} if c else {})
         return e

@@ -21,6 +21,9 @@ from nilcent.centralizer import (
     verify_centralizer,
 )
 from nilcent.composition import Composition, monotone_compositions
+from nilcent.enveloping import pbw_algebra, product_sum
+from nilcent.invariants import Polynomial
+from nilcent.slice import restrict
 
 from oracles import box_position, bracket, expand_in_basis, lie_closure_rank
 
@@ -62,7 +65,7 @@ class TestNilpotent:
         assert set(e.terms) == {(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (8, 9)}
 
     def test_zero_case(self):
-        assert nilpotent_matrix(Composition((1, 1, 1))).is_zero()
+        assert not nilpotent_matrix(Composition((1, 1, 1)))
 
     def test_small_case(self):
         e = nilpotent_matrix(Composition((1, 2)))
@@ -77,7 +80,7 @@ class TestNilpotent:
             power = e
             for _ in range(max(lam.parts) - 1):
                 power = power * e
-            assert power.is_zero()
+            assert not power
 
 
 class TestBasisElements:
@@ -94,9 +97,15 @@ class TestBasisElements:
             assert not is_admissible(lam, BasisIndex(*bad))
             with pytest.raises(ValueError):
                 basis_element(lam, BasisIndex(*bad))
-        with pytest.raises(ValueError) as info:
-            unit_support(lam, BasisIndex(1, 2, 5))
-        assert str(info.value) == "inadmissible label (1, 2, 5) for lambda=1,2"
+        # the one message, from every site that checks a label
+        bad = BasisIndex(1, 2, 5)
+        for call in (lambda: unit_support(lam, bad),
+                     lambda: pbw_algebra(lam).embed(bad),
+                     lambda: product_sum(lam, {(bad,): 1}),
+                     lambda: restrict(lam, Polynomial.variable(bad))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "inadmissible label (1, 2, 5) for lambda=1,2"
 
     def test_basis_list_examples(self):
         lam = Composition((1, 2))
@@ -125,7 +134,7 @@ class TestBasisElements:
         for lam in all_compositions(7):
             e = nilpotent_matrix(lam)
             for idx in basis_list(lam):
-                assert matrix_commutator(basis_element(lam, idx), e).is_zero()
+                assert not matrix_commutator(basis_element(lam, idx), e)
 
     def test_verify_centralizer(self):
         for lam in all_compositions(5):
@@ -282,8 +291,8 @@ class TestUnitMatrix:
         assert (A * B) * C == A * (B * C)
         assert A * (B + C) == A * B + A * C
         assert A + B == B + A
-        assert (A - A).is_zero()
-        assert matrix_commutator(A, A).is_zero()
+        assert not (A - A)
+        assert not matrix_commutator(A, A)
 
 
 class TestLieGenerators:

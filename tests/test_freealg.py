@@ -57,8 +57,8 @@ class TestFreeElement:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
-        assert a - a == FreeElement.zero()
-        one = FreeElement.scalar(1)
+        assert a - a == FreeElement({})
+        one = FreeElement({(): 1})
         assert one * a == a and a * one == a
 
     def test_noncommutative(self):
@@ -69,7 +69,7 @@ class TestFreeElement:
     def test_repr(self):
         assert repr(T(1, 2, 2)) == "T[1,2;2]"
         assert repr(letter("a") * letter("b") - 3) == "a*b - 3"
-        assert repr(FreeElement.zero()) == "0"
+        assert repr(FreeElement({})) == "0"
 
 
 def leibniz(m):
@@ -86,7 +86,7 @@ def leibniz(m):
 
 def random_free_matrix(rng, n):
     """n x n free-algebra matrix, about 30% of its entries zero."""
-    return [[FreeElement.zero() if rng.random() < 0.3
+    return [[FreeElement({}) if rng.random() < 0.3
              else letter(rng.choice("abc")) * rng.randint(1, 3)
              + rng.randint(-2, 2)
              for _ in range(n)] for _ in range(n)]
@@ -133,15 +133,15 @@ class TestColumnDeterminant:
             m[1][0] = m[1][1] = y
             det = column_determinant(m)
             assert det == leibniz(m)
-            assert not det.is_zero()
+            assert det
         # two equal leading columns cancel every leading minor
         for n in (3, 4):
             column = [a * k + k * k * a * a for k in range(1, n + 1)]
             m = random_free_matrix(rng, n)
             for i in range(n):
                 m[i][0] = m[i][1] = column[i]
-            assert column_determinant(m).is_zero()
-            assert leibniz(m).is_zero()
+            assert not column_determinant(m)
+            assert not leibniz(m)
 
     def test_matches_leibniz_in_the_enveloping_algebra(self):
         lam = Composition((1, 1, 1, 1))
@@ -149,7 +149,7 @@ class TestColumnDeterminant:
         m = [[tilde(BasisIndex(i, j, 0)) for j in range(1, 5)]
              for i in range(1, 5)]
         det = column_determinant(m)
-        assert not det.is_zero()
+        assert det
         assert det == leibniz(m)
 
     def test_leaves_no_reference_cycle(self):
@@ -172,24 +172,24 @@ class TestColumnDeterminant:
         def det(col2):
             return column_determinant([[u, col2[0]], [v, col2[1]]])
 
-        combined = det((3 * w + x, 3 * FreeElement.zero() + FreeElement.zero()))
-        assert combined == 3 * det((w, FreeElement.zero())) + det(
-            (x, FreeElement.zero()))
+        combined = det((3 * w + x, 3 * FreeElement({}) + FreeElement({})))
+        assert combined == 3 * det((w, FreeElement({}))) + det(
+            (x, FreeElement({})))
 
 
 class TestTSymbol:
     def test_window_examples(self):
         assert t_symbol(LAM12, 1, 1, 1) == T(1, 1, 1)
-        assert t_symbol(LAM12, 1, 2, 1).is_zero()
+        assert not t_symbol(LAM12, 1, 2, 1)
         assert t_symbol(LAM12, 1, 2, 2) == T(1, 2, 2)
         assert t_symbol(LAM12, 2, 1, 1) == T(2, 1, 1)
-        assert t_symbol(LAM12, 2, 1, 2).is_zero()
+        assert not t_symbol(LAM12, 2, 1, 2)
         assert t_symbol(LAM12, 2, 2, 2) == T(2, 2, 2)
-        assert t_symbol(LAM12, 2, 2, 3).is_zero()
+        assert not t_symbol(LAM12, 2, 2, 3)
 
     def test_zero_superscript_is_kronecker(self):
-        assert t_symbol(LAM12, 1, 1, 0) == FreeElement.scalar(1)
-        assert t_symbol(LAM12, 1, 2, 0).is_zero()
+        assert t_symbol(LAM12, 1, 1, 0) == FreeElement({(): 1})
+        assert not t_symbol(LAM12, 1, 2, 0)
 
     def test_bad_labels_raise(self):
         with pytest.raises(ValueError):
@@ -219,10 +219,10 @@ class TestUPolynomial:
         p, q = u_plus("a"), u_plus("b")
         prod = p * q
         assert u_degree(prod) == 2
-        assert u_coefficient(prod, 2) == FreeElement.scalar(1)
+        assert u_coefficient(prod, 2) == FreeElement({(): 1})
         assert u_coefficient(prod, 1) == letter("a") + letter("b")
         assert u_coefficient(prod, 0) == letter("a") * letter("b")
-        assert u_coefficient(p + q, 1) == FreeElement.scalar(2)
+        assert u_coefficient(p + q, 1) == FreeElement({(): 2})
         assert q * p != prod
         assert repr(prod) == "a*b + u^1*a + u^1*b + u^2"
 
@@ -230,7 +230,7 @@ class TestUPolynomial:
         p = u_plus("a")
         assert p - p == UPolynomial({})
         neg = -p
-        assert u_coefficient(neg, 1) == FreeElement.scalar(-1)
+        assert u_coefficient(neg, 1) == FreeElement({(): -1})
         assert u_coefficient(neg, 0) == -letter("a")
         assert neg + p == 0
 
@@ -241,7 +241,7 @@ class TestUPolynomial:
         assert e12.terms == {(0, (TSymbol(1, 2, 2),)): 1}
         e22 = t_entry_polynomial(LAM12, 2, 2)
         assert u_degree(e22) == 2
-        assert u_coefficient(e22, 2) == FreeElement.scalar(1)
+        assert u_coefficient(e22, 2) == FreeElement({(): 1})
         assert u_coefficient(e22, 1) == T(2, 2, 1) - 2
         assert u_coefficient(e22, 0) == -T(2, 2, 1) + T(2, 2, 2) + 1
 
@@ -251,7 +251,7 @@ class TestUPolynomial:
                 for i in range(1, lam.n + 1):
                     for j in range(1, lam.n + 1):
                         p = t_entry_polynomial(lam, i, j)
-                        want = FreeElement.scalar(1 if i == j else 0)
+                        want = FreeElement({(): 1} if i == j else {})
                         assert u_coefficient(p, lam.part(j)) == want
                         assert u_degree(p) <= lam.part(j)
 
@@ -420,21 +420,21 @@ class TestWitnesses:
 
 class TestLeftMinorVanishing:
     def test_zero_first_column(self):
-        z = FreeElement.zero()
+        z = FreeElement({})
         a, b, c, d = (letter(x) for x in "abcd")
         m = [[z, a, b], [z, c, d], [z, a, c]]
-        assert all(det.is_zero() for _, det in left_minor_cdets(m, 1))
-        assert column_determinant(m).is_zero()
+        assert all(not det for _, det in left_minor_cdets(m, 1))
+        assert not column_determinant(m)
 
     def test_dependent_single_letter_columns(self):
         """Column 2 = column 1 times x; powers of one letter commute."""
         x = letter("x")
-        one = FreeElement.scalar(1)
+        one = FreeElement({(): 1})
         col1 = [one + x, x * x, 2 * x - 1]
         rest = [letter("a"), letter("b"), letter("c")]
         m = [[col1[i], col1[i] * x, rest[i]] for i in range(3)]
-        assert all(det.is_zero() for _, det in left_minor_cdets(m, 2))
-        assert column_determinant(m).is_zero()
+        assert all(not det for _, det in left_minor_cdets(m, 2))
+        assert not column_determinant(m)
 
     def test_distinct_letters_break_hypothesis(self):
         """With noncommuting first columns the minors no longer vanish."""
@@ -444,7 +444,7 @@ class TestLeftMinorVanishing:
              [a + b, (a + b) * t, letter("e")]]
         dets = dict(left_minor_cdets(m, 2))
         assert dets[(0, 1)] == a * b * t - b * a * t
-        assert not dets[(0, 1)].is_zero()
+        assert dets[(0, 1)]
 
     def test_randomized_trials(self):
         for n in (2, 3, 4):

@@ -20,7 +20,7 @@ def generators():
     return [
         ("pbw", alg.embed((1, 1, 0)), alg.scalar(0)),
         ("polynomial", Polynomial.variable(BasisIndex(1, 1, 0)), Polynomial({})),
-        ("free", letter, FreeElement.zero()),
+        ("free", letter, FreeElement({})),
         ("upolynomial", UPolynomial({(1, ()): 1, (0, ("a",)): 1}),
          UPolynomial({})),
     ]
