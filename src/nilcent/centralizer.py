@@ -33,10 +33,9 @@ and x_r alike.  LABEL spells a label, for str.format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
-from .composition import Composition, enumerate_mu, shift
+from .composition import Composition, enumerate_mu, per_composition, shift
 from .linalg import (SparseElement, accumulate, column_determinant, echelon_add,
                      rational_rank)
 from .reports import Check, Report, residual_check
@@ -129,7 +128,7 @@ class StructureConstants:
     table: tuple
 
 
-@lru_cache(maxsize=1)
+@per_composition
 def structure_constants(lam: Composition) -> StructureConstants:
     """Every bracket of two basis elements, from the closed formula."""
     basis = basis_list(lam)
@@ -152,7 +151,7 @@ def structure_constants(lam: Composition) -> StructureConstants:
     return StructureConstants(basis, index_of, table)
 
 
-@lru_cache(maxsize=1)
+@per_composition
 def lie_generators(lam: Composition) -> tuple[int, ...]:
     """Positions of a set S of basis labels that generates g_e as a Lie
     algebra, certified by rank.

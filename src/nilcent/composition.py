@@ -8,13 +8,15 @@ enumeration of subcompositions of a given weight with as few nonzero parts
 as possible, and the shift s_{i,j} = lam_j - min(lam_i, lam_j) that
 bounds from below the degrees admissible for the row pair (i, j).  A
 subcomposition mu is a plain tuple of parts 0 <= mu_i <= lam_i, built here
-alone; centralizer.determinant_sum walks the minimal ones.
+alone; centralizer.determinant_sum walks the minimal ones.  state(lam) is
+the one cache: every builder under per_composition keeps its results for
+lam there, and all of them go when another composition is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 MAX_TOTAL = 64
 
@@ -37,9 +39,8 @@ class Composition:
             raise ValueError(
                 f"total {sum(parts)} exceeds the supported bound {MAX_TOTAL}"
             )
-        increasing = all(a <= b for a, b in zip(parts, parts[1:]))
         decreasing = all(a >= b for a, b in zip(parts, parts[1:]))
-        if not (increasing or decreasing):
+        if not (self.is_increasing or decreasing):
             # sorting silently would renumber boxes and relabel every basis
             # element, so the caller must commit to an order explicitly
             raise ValueError(f"parts {parts} are not weakly monotone")
@@ -82,6 +83,25 @@ class Composition:
 
 
 @lru_cache(maxsize=1)
+def state(lam: Composition) -> dict:
+    """Everything cached for lam; asking for another lam drops it whole."""
+    return {}
+
+
+def per_composition(build):
+    """Keep build(lam, *args) in state(lam) under (build, *args), unless
+    it raises."""
+    @wraps(build)
+    def cached(lam, *args):
+        memo, key = state(lam), (build, *args)
+        value = memo.get(key, memo)
+        if value is memo:
+            value = memo[key] = build(lam, *args)
+        return value
+
+    return cached
+
+
 def invariant_degrees(lam: Composition) -> tuple[int, ...]:
     """Degree sequence (d_1, ..., d_N) of the N generating invariants.
 
@@ -147,7 +167,7 @@ def weight_subcompositions(lam: Composition, r: int):
     yield from rec(0, r)
 
 
-@lru_cache(maxsize=MAX_TOTAL)
+@per_composition
 def enumerate_mu(lam: Composition, r: int) -> tuple[tuple[int, ...], ...]:
     """Weight-r subcompositions with the minimal number of nonzero parts.
 

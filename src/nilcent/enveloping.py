@@ -15,9 +15,8 @@ applies ad e as a derivation and puts each bracket term back in order
 by the insertion.  central_element is centralizer.determinant_sum with
 the shifted generators, tilde, as entries, each summand multiplied in
 column order.  Insertions into unsorted words are memoised per word
-inside a per-composition context, pbw_algebra(lam), which holds the memo
-and the central elements built so far; it lives until another
-composition is asked for.  Words are of basis positions; the basis, its
+in pbw_algebra(lam), kept with the central elements in the one
+composition.state.  Words are of basis positions; the basis, its
 index and the bracket rows come from structure_constants, which interns
 them, and all public interfaces speak BasisIndex.
 """
@@ -25,18 +24,17 @@ them, and all public interfaces speak BasisIndex.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 
 from .centralizer import (LABEL, BasisIndex, annihilator_checks,
                           determinant_sum, inadmissible_label,
                           structure_constants)
-from .composition import Composition
+from .composition import Composition, per_composition
 from .linalg import SparseElement, accumulate, format_scalar
 from .reports import Report
 
 
 class PbwAlgebra:
-    """Multiplication context for one composition; obtain via pbw_algebra()."""
+    """Rewriting memo and bracket table of one lam; get it by pbw_algebra."""
 
     def __init__(self, lam: Composition):
         sc = structure_constants(lam)
@@ -45,7 +43,6 @@ class PbwAlgebra:
         self.index_of = sc.index_of
         self.table = sc.table
         self._nf_memo: dict[tuple, dict] = {}
-        self._central: dict[int, dict] = {}
 
     def scalar(self, c) -> "PbwElement":
         return PbwElement(self, {(): c} if c else {})
@@ -103,9 +100,7 @@ class PbwAlgebra:
         return result
 
 
-@lru_cache(maxsize=1)
-def pbw_algebra(lam: Composition) -> PbwAlgebra:
-    return PbwAlgebra(lam)
+pbw_algebra = per_composition(PbwAlgebra)
 
 
 class PbwElement(SparseElement):
@@ -189,13 +184,11 @@ def filtration_degree(a: PbwElement) -> int:
     return max(len(m) for m in a.terms)
 
 
+@per_composition
 def central_element(lam: Composition, r: int) -> PbwElement:
     """The weight-r generator: determinant_sum of the shifted generators."""
     alg = pbw_algebra(lam)
-    terms = alg._central.get(r)
-    if terms is None:
-        terms = alg._central[r] = determinant_sum(lam, r, alg.tilde)
-    return PbwElement(alg, terms)
+    return PbwElement(alg, determinant_sum(lam, r, alg.tilde))
 
 
 def verify_central(lam: Composition, r: int) -> Report:

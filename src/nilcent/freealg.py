@@ -22,7 +22,6 @@ multiplies each shared prefix once.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -30,6 +29,7 @@ from .centralizer import BasisIndex
 from .composition import (
     Composition,
     invariant_degrees,
+    per_composition,
     require_increasing,
     require_weight,
     shift,
@@ -119,7 +119,7 @@ def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
     return UPolynomial(terms)
 
 
-@lru_cache(maxsize=1)
+@per_composition
 def z_polynomial(lam: Composition) -> tuple[FreeElement, ...]:
     """Coefficients (Z_1, ..., Z_N) of the column determinant in u.
 

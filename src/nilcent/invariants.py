@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from functools import lru_cache
 
 from .centralizer import (LABEL, BasisIndex, annihilator_checks,
                           determinant_sum, structure_constants)
-from .composition import MAX_TOTAL, Composition
+from .composition import Composition, per_composition
+from .enveloping import filtration_degree
 from .linalg import SparseElement, format_scalar
 from .reports import Report
 
@@ -67,9 +67,7 @@ def top_symbol(a) -> Polynomial:
     Normal-form words of maximal length are reread as commutative
     monomials in the basis labels.
     """
-    if not a:
-        raise ValueError("the zero element has no top symbol")
-    top = max(len(m) for m in a.terms)
+    top = filtration_degree(a)
     basis = a.algebra.basis
     return Polynomial({
         tuple(basis[t] for t in word): c
@@ -78,7 +76,7 @@ def top_symbol(a) -> Polynomial:
     })
 
 
-@lru_cache(maxsize=MAX_TOTAL)
+@per_composition
 def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     """Degree d_r invariant: determinant_sum over commutative labels.
 

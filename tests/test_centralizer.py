@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilcent import centralizer
+from nilcent import centralizer, composition
 from nilcent.centralizer import (
     BasisIndex,
     UnitMatrix,
@@ -336,10 +336,10 @@ class TestLieGenerators:
         row in the span keeps no pivot and leaves rank 0."""
         lam = Composition((2, 3))
         monkeypatch.setattr(centralizer, "echelon_add", lambda pivots, row: False)
-        lie_generators.cache_clear()
+        composition.state.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="rank 0 of 9"):
                 lie_generators(lam)
         finally:
-            lie_generators.cache_clear()
+            composition.state.cache_clear()
 

@@ -1,5 +1,4 @@
 import argparse
-import gc
 import hashlib
 import io
 import json
@@ -9,10 +8,10 @@ import pytest
 
 from nilcent import centralizer, cli, composition, enveloping, invariants
 from nilcent import slice as slice_module
-from nilcent.centralizer import BasisIndex, lie_generators, structure_constants
-from nilcent.composition import Composition, invariant_degrees
+from nilcent.centralizer import BasisIndex
+from nilcent.composition import Composition, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra, pbw_to_json_obj
-from nilcent.freealg import FreeElement, TSymbol, z_polynomial
+from nilcent.freealg import FreeElement, TSymbol
 from nilcent.invariants import Polynomial
 from nilcent.reports import Check, Report
 from nilcent.slice import PVar
@@ -288,6 +287,15 @@ def test_pinned_subcommand_output(capsys, command, parts, as_json, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command", ["central", "invariants", "verify",
+                                     "slice", "qdet"])
+def test_one_state_per_subcommand(capsys, command):
+    composition.state.cache_clear()
+    rc, _, _ = run(capsys, command, "--lambda", "1,2,2")
+    assert rc == 0
+    assert composition.state.cache_info().misses == 1
+
+
 class TestSweep:
     def test_byte_determinism(self):
         outputs = []
@@ -321,19 +329,28 @@ class TestSweep:
         assert all(set(row) == {"check", "lambda", "r", "ok", "detail"}
                    for row in obj["rows"])
 
-    def test_next_composition_drops_the_last_ones_state(self):
+    def test_next_composition_drops_the_last_ones_state(self, monkeypatch):
         first, last = Composition((1, 2)), Composition((2, 2))
         cli.sweep_composition(first)
         algebra = weakref.ref(pbw_algebra(first))
         cli.sweep_composition(last)
-        gc.collect()
+        assert composition.state.cache_info().currsize == 1
         assert algebra() is None
-        for cache in (pbw_algebra, structure_constants, z_polynomial,
-                      lie_generators, invariant_degrees):
-            assert cache.cache_info().currsize == 1, cache
-            hits = cache.cache_info().hits
-            cache(last)
-            assert cache.cache_info().hits == hits + 1, cache
+        # x_r goes with the rest: asking again builds it again
+        built, real = [], invariants.determinant_sum
+        monkeypatch.setattr(invariants, "determinant_sum", lambda lam, r, entry: (
+            built.append((lam, r)) or real(lam, r, entry)))
+        invariants.elementary_invariant(first, 1)
+        assert built == [(first, 1)]
+
+    def test_one_state_per_composition(self):
+        """No call strays onto another composition, which would drop the
+        state and rebuild it on the next access."""
+        for total in range(1, 6):
+            for lam in monotone_compositions(total):
+                composition.state.cache_clear()
+                cli.sweep_composition(lam)
+                assert composition.state.cache_info().misses == 1, lam
 
     def failed_rows(self, monkeypatch, module, name, extra):
         """Rows of 1,2 that fail once module.name adds extra at r = 2."""
@@ -472,8 +489,8 @@ class TestUsageErrors:
         assert "error:" in err and "Traceback" not in err
 
     def test_inadmissible_factor_exit_code(self, capsys, monkeypatch):
-        # a fresh algebra holds no central element, so determinant_sum runs
-        pbw_algebra.cache_clear()
+        # a fresh state holds no central element, so determinant_sum runs
+        composition.state.cache_clear()
         monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: False)
         rc, out, err = run(capsys, "central", "--lambda", "1,2")
         assert rc == cli.EXIT_VERIFY and out == ""
@@ -482,7 +499,7 @@ class TestUsageErrors:
 
     def test_inadmissible_invariant_factor_exit_code(self, capsys,
                                                      monkeypatch):
-        invariants.elementary_invariant.cache_clear()
+        composition.state.cache_clear()
         monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: False)
         rc, out, err = run(capsys, "invariants", "--lambda", "1,2")
         assert rc == cli.EXIT_VERIFY and out == ""
@@ -491,14 +508,13 @@ class TestUsageErrors:
 
     def test_no_minimal_subcomposition_exit_code(self, capsys, monkeypatch):
         """The guard in enumerate_mu holds under python -O too."""
-        composition.enumerate_mu.cache_clear()
-        pbw_algebra.cache_clear()
+        composition.state.cache_clear()
         monkeypatch.setattr(composition, "weight_subcompositions",
                             lambda lam, r: iter(()))
         try:
             rc, out, err = run(capsys, "central", "--lambda", "1,2")
         finally:
-            composition.enumerate_mu.cache_clear()
+            composition.state.cache_clear()
         assert rc == cli.EXIT_VERIFY and out == ""
         assert err == ("error: no subcomposition of weight 1 and length 1 "
                        "under 1,2\n")

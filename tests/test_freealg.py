@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from nilcent import freealg
+from nilcent import composition, freealg
 from nilcent.centralizer import BasisIndex
 from nilcent.composition import Composition, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra
@@ -294,7 +294,7 @@ class TestZPolynomial:
         leaves the u^2 part a letter, 2 or nothing, or puts a power of u
         above it: with and without a unit u^2 part."""
         lam = Composition((1, 1))
-        z_polynomial.cache_clear()
+        composition.state.cache_clear()
         original = freealg.t_entry_polynomial
 
         def planted(lam, i, j):

@@ -1,14 +1,16 @@
 """Every module-level import in the package is used by its module, no
 module imports random or has an assert statement, every top-level
 function or class, and every method of one, is used somewhere in the
-package, every cache in the package is bounded, and every module.name
-that a docstring or comment cites exists.
+package, every cache in the package is bounded, composition.state is
+the only one, and every module.name that a docstring or comment cites
+exists.
 
 __future__ imports are exempt.  The package root __init__.py is checked
 like every module, so it holds no re-export, and code that only tests
 call belongs in tests/oracles.py.  A cache holds the state of one
 composition, so its bound says how long that state lives; an unbounded
-one keeps the state of every composition ever asked for.
+one keeps the state of every composition ever asked for, and a second
+one gives that state a second lifetime.
 """
 
 import ast
@@ -205,6 +207,18 @@ def test_every_definition_is_referenced():
     assert unreferenced_definitions([p.read_text() for p in MODULES]) == []
 
 
+def cache_decorators(source: str) -> list[tuple]:
+    """(function name, decorator node) for each lru_cache or cache
+    decorator in source."""
+    def name(decorator) -> str:
+        node = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(node, "attr", getattr(node, "id", ""))
+
+    return [(node.name, d) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for d in node.decorator_list if name(d) in ("lru_cache", "cache")]
+
+
 def unbounded_caches(source: str, namespace: dict) -> list[str]:
     """Functions under an lru_cache or cache decorator that does not pass
     maxsize= a positive int, written as a literal or as a name that
@@ -223,14 +237,7 @@ def unbounded_caches(source: str, namespace: dict) -> list[str]:
                         and value > 0)
         return False
 
-    def name(decorator) -> str:
-        node = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return getattr(node, "attr", getattr(node, "id", ""))
-
-    return [node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(name(d) in ("lru_cache", "cache") and not bounded(d)
-                    for d in node.decorator_list)]
+    return [fn for fn, d in cache_decorators(source) if not bounded(d)]
 
 
 def test_the_check_sees_an_unbounded_cache():
@@ -256,6 +263,14 @@ def test_every_cache_is_bounded():
             path.read_text(),
             vars(importlib.import_module(f"nilcent.{path.stem}")))]
     assert unbounded == []
+
+
+def test_one_cache_holds_every_composition_state():
+    """Every other cache goes through composition.per_composition, so
+    the state of one composition has one owner and one lifetime."""
+    caches = [(f"{path.stem}.{fn}", ast.unparse(d)) for path in MODULES
+              for fn, d in cache_decorators(path.read_text())]
+    assert caches == [("composition.state", "lru_cache(maxsize=1)")]
 
 
 def stale_citations(source: str, modules: dict) -> list[str]:
