@@ -11,7 +11,9 @@ and ring operations live here, each update through accumulate.  A caller
 that needs more than ring arithmetic, such as a coefficient of u, a
 derivative at a point or the adjoint action, reads it off the terms
 itself.  column_determinant expands by row subsets, so each minor on the
-leading columns is built once and shared by every completion.
+leading columns is built once and shared by every completion; its column
+step, extend_minors, widens every minor by one column, and a caller that
+shares leading columns between determinants keeps those minors itself.
 echelon_add is the one elimination: it reads each row as a map from
 column to scalar, so a sparse row costs only its nonzero entries, and it
 reduces fraction-free, so integer rows never become Fractions.
@@ -179,11 +181,8 @@ def column_determinant(matrix):
 
     Factors multiply in column order, so entries may come from a
     noncommutative ring; they need +, -, * and a truth value that is false
-    exactly at zero.  One loop over the columns keeps minors, a map from a
-    row set R (a bitmask) to the column determinant of those rows and the
-    first |R| columns, and extends each by every row i outside R:
-        F(R | {i}) += (-1)^#{j in R : j > i} * F(R) * m[i][|R|].
-    A zero entry, or a minor that has cancelled to zero, is never extended.
+    exactly at zero.  The first column gives the one-row minors, and
+    extend_minors then takes them across each further column in turn.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
@@ -191,19 +190,32 @@ def column_determinant(matrix):
         raise ValueError("column determinant needs a nonempty square matrix")
     minors = {1 << i: row[0] for i, row in enumerate(rows) if row[0]}
     for col in range(1, n):
-        extended: dict = {}
-        for mask, minor in minors.items():
-            for i, row in enumerate(rows):
-                entry = row[col]
-                if mask >> i & 1 or not entry:
-                    continue
-                if (mask >> i).bit_count() & 1:
-                    entry = -entry
-                key = mask | 1 << i
-                term = minor * entry
-                extended[key] = extended[key] + term if key in extended else term
-        minors = {mask: minor for mask, minor in extended.items() if minor}
+        minors = extend_minors(minors, [row[col] for row in rows])
     return minors.get((1 << n) - 1, rows[0][0] * 0)
+
+
+def extend_minors(minors, column):
+    """The column step of column_determinant: minors one column wider.
+
+    minors maps a row set R (a bitmask) to the column determinant of those
+    rows and the first |R| columns; column is the next column, one entry
+    per row.  Each minor is extended by every row i outside R:
+        F(R | {i}) += (-1)^#{j in R : j > i} * F(R) * column[i].
+    The entry of a row in R is never read and a zero entry is skipped; a
+    wider minor that cancels to zero is left out of the result, so it is
+    never extended.
+    """
+    extended: dict = {}
+    for mask, minor in minors.items():
+        for i, entry in enumerate(column):
+            if mask >> i & 1 or not entry:
+                continue
+            if (mask >> i).bit_count() & 1:
+                entry = -entry
+            key = mask | 1 << i
+            term = minor * entry
+            extended[key] = extended[key] + term if key in extended else term
+    return {mask: minor for mask, minor in extended.items() if minor}
 
 
 def echelon_add(pivots: dict, row: dict) -> bool:

@@ -267,9 +267,12 @@ def substitute_word(lam, word) -> PbwElement:
 def binomial_z_expansion_by_pairs(lam, r: int) -> FreeElement:
     """Z_r as one weighted n x n symbol determinant per pair (mu, nu).
 
-    The reference for freealg.binomial_z_expansion, which builds one
-    determinant per nu: sums over subcompositions mu of weight r and
-    componentwise nu <= mu with nu_1 = mu_1, with weight
+    The reference for freealg.binomial_z_expansion, which sums the
+    weights of each nu first and reads its determinant off the minors
+    that freealg.symbol_minors shares between nu with a common prefix.
+    Here every pair builds its own determinant: sums over subcompositions
+    mu of weight r and componentwise nu <= mu with nu_1 = mu_1, with
+    weight
         prod_i (1 - i)^(mu_i - nu_i) * binom(lam_i - nu_i, lam_i - mu_i).
     """
     n = lam.n

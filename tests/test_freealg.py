@@ -7,7 +7,11 @@ from hypothesis import given, settings
 
 from nilcent import composition, freealg
 from nilcent.centralizer import BasisIndex
-from nilcent.composition import Composition, monotone_compositions
+from nilcent.composition import (
+    Composition,
+    monotone_compositions,
+    weight_subcompositions,
+)
 from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.freealg import (
     FreeElement,
@@ -22,6 +26,7 @@ from nilcent.freealg import (
     verify_graded_image,
     z_polynomial,
 )
+from nilcent.linalg import extend_minors
 
 from conftest import embed, free_elements, plant_z
 from oracles import (
@@ -177,6 +182,54 @@ class TestColumnDeterminant:
             (x, FreeElement({})))
 
 
+class Unreadable:
+    """An entry that fails on any use: its row must never be read."""
+
+    def __bool__(self):
+        raise AssertionError("entry of a row already in the mask was read")
+
+    __neg__ = __mul__ = __rmul__ = __bool__
+
+
+class TestExtendMinors:
+    def test_fold_matches_leibniz(self):
+        """Folded over the columns, from the first column or from the empty
+        row set, the full minor is the determinant."""
+        rng = random.Random(23)
+        one = FreeElement({(): 1})
+        for n in (1, 2, 3, 4, 5):
+            full = (1 << n) - 1
+            for _ in range(6):
+                m = random_free_matrix(rng, n)
+                want = leibniz(m)
+                first = {1 << i: row[0] for i, row in enumerate(m) if row[0]}
+                empty = {0: one}
+                for col in range(n):
+                    column = [row[col] for row in m]
+                    if col:
+                        first = extend_minors(first, column)
+                    empty = extend_minors(empty, column)
+                assert first.get(full, FreeElement({})) == want
+                assert empty.get(full, FreeElement({})) == want
+                assert all(first.values()) and all(empty.values())
+
+    def test_cancelled_minor_leaves_no_entry(self):
+        """Rows 0 and 1 carry x, and the next column is y on both, so
+        x*y - x*y cancels on rows {0, 1}; the minors through row 2 stay."""
+        x, y, z = letter("x"), letter("y"), letter("z")
+        got = extend_minors({0b001: x, 0b010: x}, [y, y, z])
+        assert got == {0b101: x * z, 0b110: x * z}
+        assert extend_minors({0b001: x, 0b010: x}, [y, y, FreeElement({})]) == {}
+
+    def test_rows_in_the_mask_are_never_read(self):
+        a, b, c, d = (letter(x) for x in "abcd")
+        got = extend_minors({0b001: a, 0b011: c}, [Unreadable(), b, d])
+        assert got == {0b011: a * b, 0b101: a * d, 0b111: c * d}
+        # the sign counts the rows of the mask above the new row
+        assert extend_minors({0b100: a}, [b, c, Unreadable()]) == {
+            0b101: -(a * b), 0b110: -(a * c)}
+
+
 class TestTSymbol:
     def test_window_examples(self):
         assert t_symbol(LAM12, 1, 1, 1) == T(1, 1, 1)
@@ -306,6 +359,19 @@ class TestZPolynomial:
             z_polynomial(lam)
 
 
+def assert_matches_pair_oracle_in_any_order(lam):
+    """binomial_z_expansion equals the pair oracle for every r, first on a
+    cold state with r descending, then on the warm state with r
+    ascending: a prefix built for one r must serve every other r."""
+    weights = range(1, lam.N + 1)
+    want = {r: binomial_z_expansion_by_pairs(lam, r) for r in weights}
+    composition.state.cache_clear()
+    for r in reversed(weights):
+        assert binomial_z_expansion(lam, r) == want[r], (lam, r, "cold")
+    for r in weights:
+        assert binomial_z_expansion(lam, r) == want[r], (lam, r, "warm")
+
+
 class TestExpansion:
     def test_loop_weight(self):
         assert loop_weight(()) == 0
@@ -327,9 +393,41 @@ class TestExpansion:
     def test_matches_pair_oracle(self):
         for total in range(1, 6):
             for lam in increasing(total):
-                for r in range(1, total + 1):
-                    assert binomial_z_expansion(lam, r) == (
-                        binomial_z_expansion_by_pairs(lam, r))
+                assert_matches_pair_oracle_in_any_order(lam)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 2, 2), (1, 2, 3), (1, 1, 1, 3)],
+                             ids=lambda p: ",".join(map(str, p)))
+    def test_order_and_state_independent(self, parts):
+        assert_matches_pair_oracle_in_any_order(Composition(parts))
+
+    def test_each_prefix_extended_once(self, monkeypatch):
+        """Every nonempty prefix of every nu over all r costs one column
+        step, and a second pass over r costs none."""
+        lam = Composition((1, 1, 2, 2))
+        prefixes = set()
+        for r in range(1, lam.N + 1):
+            for mu in weight_subcompositions(lam, r):
+                ranges = [(mu[0],)] + [range(m + 1) for m in mu[1:]]
+                for nu in itertools.product(*ranges):
+                    prefixes.update(nu[:k] for k in range(1, lam.n + 1))
+        calls = []
+        original = freealg.extend_minors
+
+        def spy(minors, column):
+            calls.append(column)
+            return original(minors, column)
+
+        def column_steps():
+            calls.clear()
+            for r in range(1, lam.N + 1):
+                rep = expansion_identity(lam, r)
+                assert rep.ok, rep.failures()
+            return len(calls)
+
+        monkeypatch.setattr(freealg, "extend_minors", spy)
+        composition.state.cache_clear()
+        assert column_steps() == len(prefixes)
+        assert column_steps() == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
