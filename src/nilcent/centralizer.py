@@ -156,18 +156,21 @@ def lie_generators(lam: Composition) -> tuple[int, ...]:
     """Positions of a set S of basis labels that generates g_e as a Lie
     algebra, certified by rank.
 
-    The labels are walked in the order (r, i == j, |i - j|, position), and
-    one joins S when it lies outside the span V found so far.  V is then
-    closed under ad S with the bracket table: the bracket of each
-    generator with each vector spanning V is reduced by echelon_add, and
-    one that adds a pivot spans V too.  A closed V is the Lie subalgebra
-    generated by S, so the walk can stop as soon as V has rank dim g_e.
+    The labels are walked by r, upper labels (i < j) first with |i - j|
+    ascending, then lower labels with |i - j| descending, then diagonal
+    ones, and by position last.  A label joins S when it lies outside the
+    span V found so far.  V is then closed under ad S with the bracket
+    table: the bracket of each generator with each vector spanning V is
+    reduced by echelon_add, and one that adds a pivot spans V too.  A
+    closed V is the Lie subalgebra generated by S, so the walk can stop
+    as soon as V has rank dim g_e.
     """
     sc = structure_constants(lam)
     basis, table = sc.basis, sc.table
     dim = len(basis)
     order = sorted(range(dim), key=lambda a: (
-        basis[a].r, basis[a].i == basis[a].j, abs(basis[a].i - basis[a].j), a))
+        basis[a].r, basis[a].i == basis[a].j, basis[a].i > basis[a].j,
+        basis[a].j - basis[a].i, a))
     pivots: dict = {}
     gens: list = []
     span: list = []

@@ -16,9 +16,12 @@ by the insertion.  central_element is centralizer.determinant_sum with
 the shifted generators, tilde, as entries, each summand multiplied in
 column order.  Insertions into unsorted words are memoised per word
 in pbw_algebra(lam), kept with the central elements in the one
-composition.state.  Words are of basis positions; the basis, its
-index and the bracket rows come from structure_constants, which interns
-them, and all public interfaces speak BasisIndex.
+composition.state.  Only the insertions that are read back are stored:
+the rewriting's own recursion and product_sum's prefix steps, which
+recur across r.  The top-level insertions of a product or of the
+centrality walk are not stored.  Words are of basis positions; the
+basis, its index and the bracket rows come from structure_constants,
+which interns them, and all public interfaces speak BasisIndex.
 """
 
 from __future__ import annotations
@@ -67,11 +70,16 @@ class PbwAlgebra:
                 el = el - self.scalar(shift)
         return el
 
-    def _insert(self, head: tuple, z: int, tail: tuple) -> dict:
+    def _insert(self, head: tuple, z: int, tail: tuple,
+                store: bool = False) -> dict:
         """Normal form of head + (z,) + tail, where head + tail is sorted.
 
-        Unsorted words are memoised; returned dicts are shared and must
-        not be mutated by callers.
+        The memo is read for every unsorted word but written only when
+        store is true: by the recursion, whose shorter words recur across
+        insertions, and by product_sum, whose prefix products recur across
+        r.  A top-level word from _times or the ad-walk is seldom met
+        again, so it is not kept.  Returned dicts are shared and must not
+        be mutated by callers.
         """
         word = head + (z,) + tail
         if (not head or head[-1] <= z) and (not tail or z <= tail[0]):
@@ -94,9 +102,11 @@ class PbwAlgebra:
             if terms:
                 left, right = s[:q], s[q + 1:]
                 for w, c in terms:
-                    accumulate(result, self._insert(left, w, right).items(),
+                    accumulate(result,
+                               self._insert(left, w, right, True).items(),
                                sign * c)
-        self._nf_memo[word] = result
+        if store:
+            self._nf_memo[word] = result
         return result
 
 
@@ -170,7 +180,7 @@ def product_sum(lam: Composition, terms: dict) -> PbwElement:
                 raise inadmissible_label(lam, x)
             image: dict = {}
             for w, c in stack[-1].items():
-                accumulate(image, insert(w, z, ()).items(), c)
+                accumulate(image, insert(w, z, (), True).items(), c)
             stack.append(image)
         accumulate(out, stack[-1].items(), terms[word])
         prev = word

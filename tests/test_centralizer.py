@@ -297,8 +297,8 @@ class TestUnitMatrix:
 
 class TestLieGenerators:
     @pytest.mark.parametrize("parts, count, dim", [
-        ((1,) * 7, 13, 49), ((2, 2, 2, 2), 9, 32), ((2, 4, 4), 10, 26),
-        ((1,) * 10, 19, 100)])
+        ((1,) * 7, 8, 49), ((2, 2, 2, 2), 7, 32), ((2, 4, 4), 9, 26),
+        ((1,) * 10, 11, 100)])
     def test_generator_counts(self, parts, count, dim):
         lam = Composition(parts)
         gens = lie_generators(lam)
@@ -306,13 +306,30 @@ class TestLieGenerators:
         assert len(set(gens)) == count
 
     def test_walk_order(self):
-        """Labels join in the order (r, i == j, |i - j|, position)."""
+        """Labels join in the order (r, i == j, i > j, j - i, position):
+        upper labels by |i - j| ascending, then lower ones by |i - j|
+        descending."""
         for lam in all_compositions(6):
             basis = basis_list(lam)
             keys = [(basis[a].r, basis[a].i == basis[a].j,
-                     abs(basis[a].i - basis[a].j), a)
+                     basis[a].i > basis[a].j, basis[a].j - basis[a].i, a)
                     for a in lie_generators(lam)]
             assert keys == sorted(keys)
+
+    def test_gl_n_takes_n_plus_one_generators(self):
+        """On 1^n the walk picks the n - 1 simple raising labels, the one
+        lowering label e[n,1;0] and one diagonal label."""
+        for n in range(2, 11):
+            lam = Composition((1,) * n)
+            basis = basis_list(lam)
+            gens = [basis[a] for a in lie_generators(lam)]
+            assert len(gens) == n + 1
+            assert gens == ([BasisIndex(i, i + 1, 0) for i in range(1, n)]
+                            + [BasisIndex(n, 1, 0), BasisIndex(1, 1, 0)])
+
+    def test_generator_total_up_to_ten(self):
+        assert sum(len(lie_generators(lam))
+                   for lam in all_compositions(10)) == 2393
 
     def test_generators_span_g_e_by_the_closure_oracle(self):
         for lam in all_compositions(9):

@@ -15,7 +15,8 @@ from nilcent.centralizer import (
     determinant_sum,
     structure_constants,
 )
-from nilcent.composition import Composition, enumerate_mu, monotone_compositions
+from nilcent.composition import (Composition, enumerate_mu, invariant_degrees,
+                                 monotone_compositions)
 from nilcent.enveloping import (
     PbwElement,
     central_element,
@@ -25,6 +26,7 @@ from nilcent.enveloping import (
     product_sum,
     verify_central,
 )
+from nilcent.freealg import loop_weight, z_polynomial
 
 from conftest import compositions, embed, pbw_elements
 from oracles import (
@@ -209,6 +211,72 @@ class TestProductSum:
     def test_inadmissible_raises(self):
         with pytest.raises(ValueError):
             product_sum(LAM12, {(BasisIndex(1, 1, 0), BasisIndex(1, 2, 0)): 1})
+
+
+def product_words(lam, r):
+    """Words for product_sum at weight r: the top-weight words of Z_r as
+    verify_graded_image labels them, or, on a decreasing lam, which has
+    no Z_r, the words of z_r read backwards."""
+    if lam.is_increasing:
+        m = r - invariant_degrees(lam)[r - 1]
+        return {tuple(BasisIndex(x.i, x.j, x.s - 1) for x in w): c
+                for w, c in z_polynomial(lam)[r - 1].terms.items()
+                if loop_weight(w) == m}
+    return {w[::-1]: c for w, c in words(central_element(lam, r)).items()}
+
+
+class TestMemoPolicy:
+    def test_top_level_insertion_stores_only_shorter_words(self):
+        """e[2,1;0]^2 e[2,2;0] times e[1,2;0] on the right: the word itself
+        is not stored, only the recursion's shorter words are."""
+        lam = Composition((1, 1, 1))
+        composition.state.cache_clear()
+        alg = pbw_algebra(lam)
+        ix = alg.index_of
+        head = (ix[BasisIndex(2, 1, 0)],) * 2 + (ix[BasisIndex(2, 2, 0)],)
+        z = ix[BasisIndex(1, 2, 0)]
+        word = head + (z,)
+        assert alg._insert(head, z, ()) == transposition_normal_form(alg, word)
+        assert word not in alg._nf_memo
+        assert alg._nf_memo
+        assert all(len(w) < len(word) for w in alg._nf_memo)
+
+    @pytest.mark.parametrize("lam", INSERTION_COMPOSITIONS, ids=str)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_any_insertion_stores_only_shorter_words(self, lam, data):
+        alg = pbw_algebra(lam)
+        alg._nf_memo.clear()
+        letter = st.integers(0, len(alg.basis) - 1)
+        s = tuple(sorted(data.draw(st.lists(letter, max_size=5))))
+        h = data.draw(st.integers(0, len(s)))
+        alg._insert(s[:h], data.draw(letter), s[h:])
+        assert all(len(w) <= len(s) for w in alg._nf_memo)
+
+    @pytest.mark.parametrize("lam", [Composition(p) for p in (
+        (1, 1, 2), (2, 1, 1), (1, 1, 1, 1))], ids=str)
+    def test_memo_is_pure_policy(self, lam):
+        """Emptying the memo before every call changes no result."""
+
+        def results(cold):
+            composition.state.cache_clear()
+            alg = pbw_algebra(lam)
+
+            def call(f, *args):
+                if cold:
+                    alg._nf_memo.clear()
+                return f(*args)
+            out = [(call(central_element, lam, r).terms,
+                    call(verify_central, lam, r),
+                    call(product_sum, lam, product_words(lam, r)).terms)
+                   for r in range(1, lam.N + 1)]
+            assert cold or alg._nf_memo
+            return out
+
+        try:
+            assert results(cold=True) == results(cold=False)
+        finally:
+            composition.state.cache_clear()
 
 
 class TestCommutator:
