@@ -110,7 +110,7 @@ def _timed_sweep(lam: Composition) -> tuple[list[dict], float]:
     return sweep_composition(lam), time.perf_counter() - t0
 
 
-def _sweep(max_n: int, jobs: int, err) -> tuple:
+def _sweep(max_n: int, jobs: int) -> tuple:
     if not 1 <= max_n <= MAX_TOTAL:
         raise ValueError(f"--max-N must lie in 1..{MAX_TOTAL}, got {max_n}")
     if jobs < 1:
@@ -130,9 +130,9 @@ def _sweep(max_n: int, jobs: int, err) -> tuple:
           else nullcontext()) as pool:
         mapped = (pool.map if pool else map)(_timed_sweep, lams)
         for lam, (chunk, seconds) in zip(lams, mapped):
-            print(f"lambda={lam}: {seconds:.2f}s", file=err)
+            print(f"lambda={lam}: {seconds:.2f}s", file=sys.stderr)
             per_lam.append(chunk)
-    print(f"sweep total: {time.perf_counter() - t0:.2f}s", file=err)
+    print(f"sweep total: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
 
     rows = [r for chunk in per_lam for r in chunk]
     ok = all(r["ok"] for r in rows)
@@ -253,21 +253,6 @@ COMMANDS = {
 }
 
 
-def run_command(ns: argparse.Namespace, out=None, err=None) -> int:
-    """Run one parsed subcommand, print its JSON or text, return the exit code."""
-    if ns.command == "sweep":
-        obj, lines, ok = _sweep(ns.max_n, ns.jobs, err or sys.stderr)
-    else:
-        obj, lines, ok = COMMANDS[ns.command][0](ns.lam, ns)
-    out = out or sys.stdout
-    if ns.as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True), file=out)
-    else:
-        for line in lines:
-            print(line, file=out)
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilcent",
@@ -299,9 +284,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         ns = build_parser().parse_args(argv)
-        if ns.command in COMMANDS:
-            ns.lam = Composition.from_string(ns.lam)
-        return run_command(ns)
+        if ns.command == "sweep":
+            obj, lines, ok = _sweep(ns.max_n, ns.jobs)
+        else:
+            handler = COMMANDS[ns.command][0]
+            obj, lines, ok = handler(Composition.from_string(ns.lam), ns)
+        if ns.as_json:
+            print(json.dumps(obj, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return EXIT_OK if ok else EXIT_VERIFY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

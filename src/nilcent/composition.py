@@ -105,13 +105,12 @@ def per_composition(build):
 def invariant_degrees(lam: Composition) -> tuple[int, ...]:
     """Degree sequence (d_1, ..., d_N) of the N generating invariants.
 
-    For weakly increasing parts the value k occurs lam.part(n + 1 - k)
-    times, for weakly decreasing parts it occurs lam.part(k) times; either
-    way the result is weakly increasing and d_r equals min_length(lam, r).
+    The value k occurs as often as the k-th largest part, in either
+    orientation; the result is weakly increasing and d_r equals
+    min_length(lam, r).
     """
-    counts = lam.parts[::-1] if lam.is_increasing else lam.parts
     out = []
-    for k, c in enumerate(counts, start=1):
+    for k, c in enumerate(sorted(lam.parts, reverse=True), start=1):
         out.extend([k] * c)
     return tuple(out)
 

@@ -6,21 +6,21 @@ labels e[i+1,i;lam_i-1] otherwise, and 0 on every other label.  For
 increasing parts the slice is xi_0 plus the coordinates p[j,r] on the
 bottom-row labels e[n,j;r], 0 <= r < lam_j.  Restriction of top symbols
 to the slice is the induced algebra map into the polynomial ring on these
-N coordinates, read one value per label; for decreasing parts the
-bottom-row labels fall outside the admissible window, so restriction
-needs increasing parts.  The Jacobian of the invariants at xi_0
-certifies their independence for either orientation; since xi_0 takes
-only the values 0 and 1, its entries are read off the monomials of each
-x_r in one pass.
+N coordinates, a substitution from slice_values, the one table of every
+label's value; for decreasing parts the bottom-row labels fall outside
+the admissible window, so restriction needs increasing parts.  The
+Jacobian of the invariants at xi_0 certifies their independence for
+either orientation; since xi_0 takes only the values 0 and 1, its
+entries are read off the monomials of each x_r in one pass.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .centralizer import BasisIndex, inadmissible_label, is_admissible
-from .composition import (Composition, invariant_degrees, require_increasing,
-                          require_weight)
+from .centralizer import BasisIndex, basis_list, inadmissible_label
+from .composition import (Composition, invariant_degrees, per_composition,
+                          require_increasing, require_weight)
 from .invariants import Polynomial, elementary_invariant
 from .linalg import accumulate, rational_rank
 from .reports import Check, Report
@@ -33,14 +33,6 @@ class PVar(NamedTuple):
     t: int
 
 
-def slice_coordinates(lam: Composition) -> tuple[PVar, ...]:
-    """All N coordinates, ordered by row then offset."""
-    require_increasing(lam, "slice evaluation")
-    return tuple(
-        PVar(j, t) for j in range(1, lam.n + 1) for t in range(lam.part(j))
-    )
-
-
 def base_point(lam: Composition) -> dict[BasisIndex, int]:
     """The nonzero values of the slice base point xi_0: 1 on
     e[i,i+1;lam_{i+1}-1] for increasing parts, else on e[i+1,i;lam_i-1]."""
@@ -50,37 +42,40 @@ def base_point(lam: Composition) -> dict[BasisIndex, int]:
     return {BasisIndex(i + 1, i, lam.part(i) - 1): 1 for i in range(1, lam.n)}
 
 
-def _slice_value(lam: Composition, idx):
-    """Slice value of one basis label: its coordinate, 1, or None for 0."""
-    if not is_admissible(lam, idx):
-        raise inadmissible_label(lam, idx)
-    i, j, r = idx
-    if i == lam.n:
-        return PVar(j, r)
-    return 1 if idx in base_point(lam) else None
+@per_composition
+def slice_values(lam: Composition) -> dict:
+    """The value on the slice of every basis label: p[j,t] on the
+    bottom-row label e[n,j;t], 1 on the base point, 0 elsewhere."""
+    require_increasing(lam, "slice evaluation")
+    ones = base_point(lam)
+    return {idx: PVar(idx.j, idx.r) if idx.i == lam.n else ones.get(idx, 0)
+            for idx in basis_list(lam)}
+
+
+def slice_coordinates(lam: Composition) -> tuple[PVar, ...]:
+    """All N coordinates, ordered by row then offset."""
+    return tuple(v for v in slice_values(lam).values() if type(v) is PVar)
 
 
 def restrict(lam: Composition, p: Polynomial) -> Polynomial:
     """Restriction to the slice of a polynomial in basis labels.
 
     Each variable evaluates to 0, 1 or a single coordinate, so monomials
-    map to monomials and this is the induced algebra homomorphism.
+    map to monomials and this is the induced algebra homomorphism.  Every
+    letter is read, so a label outside the basis raises even in a term
+    that vanishes.
     """
-    require_increasing(lam, "slice evaluation")
-    values: dict = {}
+    values = slice_values(lam)
     out: dict = {}
     for mono, c in p.terms.items():
-        pvars = []
+        image = []
         for v in mono:
-            if v not in values:
-                values[v] = _slice_value(lam, v)
-            value = values[v]
+            value = values.get(v)
             if value is None:
-                break
-            if isinstance(value, PVar):
-                pvars.append(value)
-        else:
-            accumulate(out, ((tuple(sorted(pvars)), c),))
+                raise inadmissible_label(lam, v)
+            image.append(value)
+        if all(image):
+            accumulate(out, ((tuple(sorted(v for v in image if v != 1)), c),))
     return Polynomial(out)
 
 

@@ -1,6 +1,4 @@
-import argparse
 import hashlib
-import io
 import json
 import weakref
 
@@ -47,12 +45,11 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def sweep(max_n, as_json=False):
+def sweep(capsys, max_n, as_json=False):
     """Exit code and stdout of a serial sweep."""
-    ns = argparse.Namespace(command="sweep", max_n=max_n, jobs=1,
-                            as_json=as_json)
-    out, err = io.StringIO(), io.StringIO()
-    return cli.run_command(ns, out=out, err=err), out.getvalue()
+    rc, out, _ = run(capsys, "sweep", "--max-N", str(max_n), "--jobs", "1",
+                     *(["--json"] if as_json else []))
+    return rc, out
 
 
 class TestDegrees:
@@ -287,6 +284,22 @@ def test_pinned_subcommand_output(capsys, command, parts, as_json, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_pinned_slice_output_up_to_n6(capsys):
+    """The slice subcommand, text then --json, on every increasing lambda
+    with N <= 6, hashed as one stream."""
+    lams = [lam for total in range(1, 7)
+            for lam in monotone_compositions(total) if lam.is_increasing]
+    assert len(lams) == 29
+    digest = hashlib.sha256()
+    for lam in lams:
+        for extra in ([], ["--json"]):
+            rc, out, _ = run(capsys, "slice", "--lambda", str(lam), *extra)
+            assert rc == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "42cafc8fe57271aec134c5eb908efb4bea733826e849a628c564d447f24b7511")
+
+
 @pytest.mark.parametrize("command", ["central", "invariants", "verify",
                                      "slice", "qdet"])
 def test_one_state_per_subcommand(capsys, command):
@@ -297,10 +310,10 @@ def test_one_state_per_subcommand(capsys, command):
 
 
 class TestSweep:
-    def test_byte_determinism(self):
+    def test_byte_determinism(self, capsys):
         outputs = []
         for _ in range(2):
-            rc, out = sweep(3)
+            rc, out = sweep(capsys, 3)
             assert rc == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
@@ -310,15 +323,15 @@ class TestSweep:
         (True, "89bde73114963530dcb02a3ab0973b50b9814a2ec684d54ca56872bd2bb1b534"),
         (False, "a6da173cc2e24be89120c269e42c145811e023488dafd265ef1a278f03af0485"),
     ])
-    def test_pinned_output(self, as_json, digest):
+    def test_pinned_output(self, capsys, as_json, digest):
         # row details such as "13 terms, 49 generators" are outside every
         # nilbench digest, so a refactor is shown byte-identical here
-        rc, out = sweep(5, as_json=as_json)
+        rc, out = sweep(capsys, 5, as_json=as_json)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_json_shape(self):
-        rc, out = sweep(2, as_json=True)
+    def test_json_shape(self, capsys):
+        rc, out = sweep(capsys, 2, as_json=True)
         assert rc == 0
         obj = json.loads(out)
         assert obj["schema"] == 1 and obj["ok"] is True

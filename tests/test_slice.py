@@ -64,6 +64,11 @@ class TestEvaluateBasis:
             at_slice(LAM12, (1, 2, 0))
         with pytest.raises(ValueError, match="inadmissible label"):
             evaluate_basis_at_slice(LAM12, (1, 2, 0))
+        # a letter that vanishes on the slice does not hide a later one
+        vanishing, bad = (Polynomial.variable(BasisIndex(*idx))
+                          for idx in ((1, 1, 0), (1, 2, 0)))
+        with pytest.raises(ValueError, match="inadmissible label"):
+            restrict(LAM12, vanishing * bad)
 
     def test_decreasing_raises(self):
         with pytest.raises(ValueError):
@@ -72,7 +77,7 @@ class TestEvaluateBasis:
             evaluate_basis_at_slice(Composition((2, 1)), (1, 1, 0))
 
     def test_matches_oracle(self):
-        for total in range(1, 6):
+        for total in range(1, 8):
             for lam in monotone_compositions(total):
                 if lam.is_increasing:
                     for v in basis_list(lam):
