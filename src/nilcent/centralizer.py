@@ -27,7 +27,8 @@ only how a letter out of place is put back in order.
 annihilator_checks, the centrality and invariance check, runs it on
 the generators before every label.  determinant_sum is the paper's sum
 over mu of column determinants in the labels e[a,b;mu_b - 1], behind z_r
-and x_r alike.  LABEL spells a label, for str.format.
+and x_r alike.  LABEL spells a label, for str.format, and
+structure_constants spells each basis label once per composition.
 """
 
 from __future__ import annotations
@@ -121,11 +122,13 @@ def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """The bracket table laid out in the module docstring."""
+    """The bracket table laid out in the module docstring, and names[a],
+    the spelling of basis[a]."""
 
     basis: tuple
     index_of: dict
     table: tuple
+    names: tuple
 
 
 @per_composition
@@ -148,7 +151,8 @@ def structure_constants(lam: Composition) -> StructureConstants:
                 terms = tuple(sorted(expansion.items()))
                 table[a][b] = terms
                 table[b][a] = tuple((z, -c) for z, c in terms)
-    return StructureConstants(basis, index_of, table)
+    return StructureConstants(basis, index_of, table,
+                              tuple(map(LABEL.format, basis)))
 
 
 @per_composition
@@ -236,9 +240,9 @@ def adjoint_images(lam: Composition, words: dict, labels, insert):
 
 def annihilator_checks(lam: Composition, words: dict, insert, residual,
                        name) -> tuple[Check, ...]:
-    """The row name(idx) for every basis label idx, which passes when
-    ad e_idx kills the element whose words adjoint_images walks with
-    insert.
+    """The row name(label) for every basis label, spelled as in
+    structure_constants, which passes when ad of the label kills the
+    element whose words adjoint_images walks with insert.
 
     residual(terms) wraps an image as the sparse element that a failed
     row names.  ad is a representation of g_e, on the enveloping algebra
@@ -248,32 +252,39 @@ def annihilator_checks(lam: Composition, words: dict, insert, residual,
     element, and each row is deduced to pass.  Otherwise every label is
     walked, so each failed row names its own residual.
     """
-    basis = structure_constants(lam).basis
+    names = structure_constants(lam).names
     if any(terms for _, terms in
            adjoint_images(lam, words, lie_generators(lam), insert)):
-        return tuple(residual_check(name(idx), residual(terms))
-                     for idx, terms in adjoint_images(
-                         lam, words, range(len(basis)), insert))
-    return tuple(Check(name(idx), True) for idx in basis)
+        return tuple(residual_check(name(label), residual(terms))
+                     for label, (_, terms) in zip(names, adjoint_images(
+                         lam, words, range(len(names)), insert)))
+    return tuple(Check(name(label), True) for label in names)
 
 
 def determinant_sum(lam: Composition, r: int, entry) -> dict:
     """Terms of the sum over mu in enumerate_mu(lam, r) of the column
     determinant of entry(e[a,b;mu_b - 1]), a and b in the support of mu.
 
-    Each label is checked admissible first; for a minimal mu none fails.
+    Many mu share a label, so each label is checked admissible and its
+    entry built once, at its first use in the call; for a minimal mu no
+    label fails.
     """
+    entries: dict = {}
     terms: dict = {}
     for mu in enumerate_mu(lam, r):
         supp = [b for b, p in enumerate(mu, start=1) if p]
         labels = [[BasisIndex(a, b, mu[b - 1] - 1) for b in supp]
                   for a in supp]
-        bad = [x for row in labels for x in row if not is_admissible(lam, x)]
-        if bad:
-            raise RuntimeError(
-                "inadmissible column-determinant factor "
-                f"{LABEL.format(bad[0])} for mu={','.join(map(str, mu))}")
-        det = column_determinant([[entry(x) for x in row] for row in labels])
+        for row in labels:
+            for x in row:
+                if x in entries:
+                    continue
+                if not is_admissible(lam, x):
+                    raise RuntimeError(
+                        "inadmissible column-determinant factor "
+                        f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
+                entries[x] = entry(x)
+        det = column_determinant([[entries[x] for x in row] for row in labels])
         accumulate(terms, det.terms.items())
     return terms
 

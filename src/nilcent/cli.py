@@ -4,7 +4,9 @@ Exit codes: 0 on success, 2 on usage errors, 3 when a verification fails
 or an internal check raises, 4 when memory runs out.
 All verification output on stdout is deterministic: no check draws a
 random point, and the same arguments print the same bytes for any --jobs
-and any hash seed.  Timing goes to stderr.
+and any hash seed.  Timing goes to stderr.  Only a sweep that runs more
+than one worker imports the process pool, so sweep --jobs 1 and the
+per-composition subcommands load none of multiprocessing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import enveloping
@@ -125,9 +126,14 @@ def _sweep(max_n: int, jobs: int) -> tuple:
     # more than there are compositions or CPUs to run them; one worker
     # runs serially
     workers = min(jobs, len(lams), os.cpu_count() or 1)
+    context = nullcontext()
+    if workers > 1:
+        # the pool's modules (multiprocessing, socket, pickle, logging and
+        # more) load only here, so a serial run never pays for them
+        from concurrent.futures import ProcessPoolExecutor
+        context = ProcessPoolExecutor(max_workers=workers)
     per_lam = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    with context as pool:
         mapped = (pool.map if pool else map)(_timed_sweep, lams)
         for lam, (chunk, seconds) in zip(lams, mapped):
             print(f"lambda={lam}: {seconds:.2f}s", file=sys.stderr)

@@ -208,7 +208,7 @@ def verify_central(lam: Composition, r: int) -> Report:
     # [z, e_y] is the negative of ad e_y . z
     checks = annihilator_checks(
         lam, z.terms, alg._insert, lambda terms: -PbwElement(alg, terms),
-        f"[z_{r}, {LABEL}] = 0".format)
+        f"[z_{r}, {{}}] = 0".format)
     return Report(
         f"centrality lambda={lam} r={r} ({len(z.terms)} normal-form terms)",
         checks,

@@ -104,7 +104,7 @@ def verify_invariant(lam: Composition, r: int) -> Report:
         lam, words, _sorted_insert,
         lambda terms: Polynomial({tuple(sc.basis[t] for t in w): c
                                   for w, c in terms.items()}),
-        f"ad {LABEL} kills x_{r}".format)
+        f"ad {{}} kills x_{r}".format)
     return Report(f"invariance lambda={lam} r={r}", checks)
 
 

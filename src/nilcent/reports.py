@@ -1,19 +1,23 @@
-"""Small pass/fail containers shared by the verification entry points."""
+"""Small pass/fail containers shared by the verification entry points.
+
+Check and Report are named tuples: a sweep builds tens of thousands of
+Check rows, and a named tuple's __new__ builds its tuple in one call,
+where a frozen dataclass's __init__ sets each field through
+object.__setattr__.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     subject: str
     checks: tuple[Check, ...]
 

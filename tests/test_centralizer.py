@@ -188,6 +188,8 @@ class TestStructureConstants:
         lam2 = Composition((1, 1))
         assert dict(bracket(lam2, BasisIndex(2, 1, 0), BasisIndex(1, 2, 0))) == {
             BasisIndex(1, 1, 0): -1, BasisIndex(2, 2, 0): 1}
+        assert structure_constants(lam).names == (
+            "e[1,1;0]", "e[1,2;1]", "e[2,1;0]", "e[2,2;0]", "e[2,2;1]")
 
     def test_self_bracket_empty(self):
         lam = Composition((2, 2))

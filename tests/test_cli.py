@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import weakref
@@ -41,7 +42,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # _sweep imports the pool from concurrent.futures only when it pools
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

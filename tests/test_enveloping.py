@@ -364,6 +364,31 @@ class TestCdet:
         lam = Composition((5,))
         assert self.cdet(lam, 3, (3,)) == embed(lam, (1, 1, 2))
 
+    @pytest.mark.parametrize("parts", [(1, 2, 2), (2, 2, 1), (1, 1, 1, 1)])
+    def test_each_label_built_once(self, parts):
+        """entry runs once per distinct label of the sum at each weight,
+        although the mu share labels."""
+        lam = Composition(parts)
+        alg = pbw_algebra(lam)
+        shared = False
+        for r in range(1, lam.N + 1):
+            calls = []
+
+            def entry(x):
+                calls.append(x)
+                return alg.tilde(x)
+
+            terms = determinant_sum(lam, r, entry)
+            uses = []
+            for mu in enumerate_mu(lam, r):
+                supp = [b for b, p in enumerate(mu, start=1) if p]
+                uses += [BasisIndex(a, b, mu[b - 1] - 1)
+                         for a in supp for b in supp]
+            assert sorted(calls) == sorted(set(uses))
+            assert terms == central_element(lam, r).terms
+            shared |= len(uses) > len(calls)
+        assert shared
+
 
 class TestCentralElements:
     def test_weight_one_example(self):

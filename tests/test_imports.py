@@ -2,8 +2,8 @@
 module imports random or has an assert statement, every top-level
 function or class, and every method of one, is used somewhere in the
 package, every cache in the package is bounded, composition.state is
-the only one, and every module.name that a docstring or comment cites
-exists.
+the only one, every module.name that a docstring or comment cites
+exists, and importing the command line loads no process pool.
 
 __future__ imports are exempt.  The package root __init__.py is checked
 like every module, so it holds no re-export, and code that only tests
@@ -17,6 +17,8 @@ import ast
 import importlib
 import io
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 from types import SimpleNamespace
@@ -307,3 +309,17 @@ def test_every_citation_exists():
     stale = [f"{path.name}: {name}" for path in MODULES
              for name in stale_citations(path.read_text(), modules)]
     assert stale == []
+
+
+def test_the_command_line_loads_no_process_pool():
+    """Only a sweep with more than one worker imports the pool, so a
+    serial run and every per-composition subcommand start without
+    multiprocessing and the modules it pulls in."""
+    src = str(Path(nilcent.__file__).parent.parent)
+    probe = ("import sys, nilcent.cli\n"
+             "print(*sorted(sys.modules.keys()"
+             " & {'multiprocessing', 'concurrent.futures.process'}))\n")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.split() == []
