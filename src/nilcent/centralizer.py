@@ -24,8 +24,10 @@ their bracket closure.  adjoint_images is the one walk of ad basis
 elements over words of positions, read straight off the table rows, in
 the enveloping and the symmetric algebra alike; the caller supplies
 only how a letter out of place is put back in order.
-annihilator_checks, the centrality and invariance check, runs it on
-the generators before every label.  determinant_sum is the paper's sum
+annihilator_checks, the centrality check, runs it on the generators
+before every label; invariants.verify_invariant runs it too, as the
+direct invariance walk that the tests hold the sweep's derived
+invariance row to.  determinant_sum is the paper's sum
 over mu of column determinants in the labels e[a,b;mu_b - 1], behind z_r
 and x_r alike.  LABEL spells a label, for str.format, and
 structure_constants spells each basis label once per composition.
@@ -261,14 +263,22 @@ def annihilator_checks(lam: Composition, words: dict, insert, residual,
     return tuple(Check(name(label), True) for label in names)
 
 
+@per_composition
+def _admitted(lam: Composition) -> set:
+    """The labels determinant_sum has found admissible for lam."""
+    return set()
+
+
 def determinant_sum(lam: Composition, r: int, entry) -> dict:
     """Terms of the sum over mu in enumerate_mu(lam, r) of the column
     determinant of entry(e[a,b;mu_b - 1]), a and b in the support of mu.
 
-    Many mu share a label, so each label is checked admissible and its
-    entry built once, at its first use in the call; for a minimal mu no
-    label fails.
+    Many mu share a label, so each label's entry is built once, at its
+    first use in the call, and each label is checked admissible once per
+    composition, at its first use in any call; for a minimal mu no label
+    fails.
     """
+    admitted = _admitted(lam)
     entries: dict = {}
     terms: dict = {}
     for mu in enumerate_mu(lam, r):
@@ -279,10 +289,12 @@ def determinant_sum(lam: Composition, r: int, entry) -> dict:
             for x in row:
                 if x in entries:
                     continue
-                if not is_admissible(lam, x):
-                    raise RuntimeError(
-                        "inadmissible column-determinant factor "
-                        f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
+                if x not in admitted:
+                    if not is_admissible(lam, x):
+                        raise RuntimeError(
+                            "inadmissible column-determinant factor "
+                            f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
+                    admitted.add(x)
                 entries[x] = entry(x)
         det = column_determinant([[entries[x] for x in row] for row in labels])
         accumulate(terms, det.terms.items())

@@ -17,7 +17,7 @@ from nilcent.centralizer import BasisIndex, basis_list
 from nilcent.cli import EXPANSION_CAP, sweep_composition
 from nilcent.composition import Composition, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra
-from nilcent.invariants import Polynomial, elementary_invariant
+from nilcent.invariants import Polynomial, elementary_invariant, verify_invariant
 from nilcent.slice import restrict
 
 from conftest import embed
@@ -78,8 +78,24 @@ def test_3_invariance(sweep_rows, capsys):
     top = take(sweep_rows, "top_symbol")
     complete = len(inv) == WEIGHT_TOTAL and len(top) == WEIGHT_TOTAL
     ok = complete and all(r["ok"] for r in inv + top)
-    conclude(capsys, 3, "top symbols are adjoint-invariant and match z_r", ok,
+    conclude(capsys, 3, "top symbols of central z_r match x_r, hence are "
+             "adjoint-invariant", ok,
              f"{len(inv)} invariance and {len(top)} symbol checks")
+
+
+def test_direct_invariance_walk_agrees(sweep_rows):
+    """verify_invariant, the direct adjoint walk, passes for every monotone
+    lambda with N <= 7, and agrees with the sweep's derived invariance row
+    wherever the sweep ran."""
+    derived = {(r["lambda"], r["r"]): r["ok"]
+               for r in take(sweep_rows, "invariance")}
+    walked = {(lam.to_string(), r): verify_invariant(lam, r).ok
+              for total in range(1, MAX_N + 2)
+              for lam in monotone_compositions(total)
+              for r in range(1, lam.N + 1)}
+    assert len(walked) == 409 and all(walked.values())
+    assert derived == {key: walked[key] for key in derived}
+    assert len(derived) == WEIGHT_TOTAL
 
 
 def test_4_slice_formula(sweep_rows, capsys):

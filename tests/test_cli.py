@@ -384,15 +384,18 @@ class TestSweep:
             ("centrality", 2, "2 terms, 5 generators; [z_2, e[1,1;0]] = 0: "
              "residual has 1 terms, leading -2*e[1,1;0]*e[1,2;1]"),
             ("filtration_degree", 2, "expected 1"),
-            ("top_symbol", 2, "1 monomials")]
+            ("top_symbol", 2, "1 monomials"),
+            ("invariance", 2, "premise failed: centrality, top_symbol")]
 
     def test_failed_invariance_row_names_a_witness(self, monkeypatch):
+        """A non-invariant x_r, planted where the sweep reads it, fails its
+        top_symbol row and with it the invariance row derived from it;
+        tests/test_invariants.py names the ad witness of the direct walk."""
         extra = Polynomial({(BasisIndex(1, 1, 0), BasisIndex(1, 2, 1)): 2})
-        rows = self.failed_rows(monkeypatch, invariants, "elementary_invariant",
-                                extra)
+        rows = self.failed_rows(monkeypatch, cli, "elementary_invariant", extra)
         assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
-            ("invariance", 2, "ad e[1,1;0] kills x_2: "
-             "residual has 1 terms, leading 2*e[1,1;0]*e[1,2;1]")]
+            ("top_symbol", 2, "2 monomials"),
+            ("invariance", 2, "premise failed: top_symbol")]
 
     def test_failed_slice_rows_name_a_witness(self, monkeypatch):
         # the prediction for r = 2 doubles, from p[2,1] to 2*p[2,1]

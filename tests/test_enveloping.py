@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcent import composition, enveloping
+from nilcent import centralizer, composition, enveloping
 from nilcent.centralizer import (
     BasisIndex,
     adjoint_images,
@@ -27,6 +27,7 @@ from nilcent.enveloping import (
     verify_central,
 )
 from nilcent.freealg import loop_weight, z_polynomial
+from nilcent.invariants import Polynomial
 
 from conftest import compositions, embed, pbw_elements
 from oracles import (
@@ -388,6 +389,26 @@ class TestCdet:
             assert terms == central_element(lam, r).terms
             shared |= len(uses) > len(calls)
         assert shared
+
+    @pytest.mark.parametrize("parts", [(1, 2, 2), (2, 2, 1), (1, 1, 1, 1)])
+    def test_each_label_admitted_once_per_composition(self, monkeypatch, parts):
+        """is_admissible runs once per label of lam over every weight and
+        both entries, z_r's and x_r's, and again once the state is dropped."""
+        lam = Composition(parts)
+        checked, real = [], centralizer.is_admissible
+        monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: (
+            checked.append(idx) or real(lam, idx)))
+        uses = {BasisIndex(a, b, mu[b - 1] - 1)
+                for r in range(1, lam.N + 1) for mu in enumerate_mu(lam, r)
+                for a, p in enumerate(mu, start=1) if p
+                for b, q in enumerate(mu, start=1) if q}
+        for _ in range(2):
+            composition.state.cache_clear()
+            checked.clear()
+            for r in range(1, lam.N + 1):
+                determinant_sum(lam, r, pbw_algebra(lam).tilde)
+                determinant_sum(lam, r, Polynomial.variable)
+            assert sorted(checked) == sorted(uses)
 
 
 class TestCentralElements:

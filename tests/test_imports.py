@@ -7,10 +7,11 @@ exists, and importing the command line loads no process pool.
 
 __future__ imports are exempt.  The package root __init__.py is checked
 like every module, so it holds no re-export, and code that only tests
-call belongs in tests/oracles.py.  A cache holds the state of one
-composition, so its bound says how long that state lives; an unbounded
-one keeps the state of every composition ever asked for, and a second
-one gives that state a second lifetime.
+call belongs in tests/oracles.py, apart from the one definition the
+benchmark's tracer names, pinned in TRACED_TEST_REFERENCES.  A cache
+holds the state of one composition, so its bound says how long that
+state lives; an unbounded one keeps the state of every composition ever
+asked for, and a second one gives that state a second lifetime.
 """
 
 import ast
@@ -205,8 +206,16 @@ def test_the_check_resolves_method_reads_by_class():
     assert unreferenced_definitions([source]) == ["Label.unit", "Label.double"]
 
 
+# The one exception, pinned by name: the sweep derives its invariance row,
+# so only the tests call the direct walk, but nilbench/tracing.py traces
+# it in nilcent.invariants.  It moves to tests/oracles.py, and this list
+# empties, with the next change to the benchmark.
+TRACED_TEST_REFERENCES = ["verify_invariant"]
+
+
 def test_every_definition_is_referenced():
-    assert unreferenced_definitions([p.read_text() for p in MODULES]) == []
+    assert (unreferenced_definitions([p.read_text() for p in MODULES])
+            == TRACED_TEST_REFERENCES)
 
 
 def cache_decorators(source: str) -> list[tuple]:

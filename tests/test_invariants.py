@@ -214,6 +214,10 @@ class TestAdjointAction:
         details = {c.name: c.detail for c in rep.failures()}
         assert details["ad e[2,1;0] kills x_2"] == (
             "residual has 2 terms, leading 2*e[1,1;0]*e[2,2;1]")
+        first = rep.failures()[0]
+        assert (first.name, first.detail) == (
+            "ad e[1,1;0] kills x_2",
+            "residual has 1 terms, leading 2*e[1,1;0]*e[1,2;1]")
 
     def test_generator_walk_matches_all_labels(self):
         """Passing rows deduced from lie_generators are the rows the walk
