@@ -35,7 +35,6 @@ structure_constants spells each basis label once per composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .composition import Composition, enumerate_mu, per_composition, shift
@@ -122,8 +121,7 @@ def basis_list(lam: Composition) -> tuple[BasisIndex, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """The bracket table laid out in the module docstring, and names[a],
     the spelling of basis[a]."""
 

@@ -15,20 +15,21 @@ lam there, and all of them go when another composition is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 MAX_TOTAL = 64
 
 
-@dataclass(frozen=True)
 class Composition:
-    """A weakly monotone tuple of positive part sizes."""
+    """A weakly monotone tuple of positive part sizes.
 
-    parts: tuple[int, ...]
+    Frozen, equal and hashed by its parts, and never equal to a bare tuple.
+    """
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a composition needs at least one part")
@@ -44,6 +45,27 @@ class Composition:
             # sorting silently would renumber boxes and relabel every basis
             # element, so the caller must commit to an order explicitly
             raise ValueError(f"parts {parts} are not weakly monotone")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle rebuilds through __init__, since __setattr__ refuses
+        return Composition, (self.parts,)
+
+    def __eq__(self, other):
+        if type(other) is not Composition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Composition(parts={self.parts!r})"
 
     @classmethod
     def from_string(cls, text: str) -> "Composition":

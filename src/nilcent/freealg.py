@@ -226,12 +226,16 @@ def verify_graded_image(lam: Composition, r: int) -> Report:
     require_weight(lam, r)
     Zr = z_polynomial(lam)[r - 1]
     m = r - invariant_degrees(lam)[r - 1]
-    over = FreeElement({w: c for w, c in Zr.terms.items() if loop_weight(w) > m})
     # the letter signs of a word multiply to (-1)^(its loop weight) = (-1)^m
     sign = -1 if m % 2 else 1
     label = {x: BasisIndex(x.i, x.j, x.s - 1) for word in Zr.terms for x in word}
-    top = {tuple(label[x] for x in word): sign * c
-           for word, c in Zr.terms.items() if loop_weight(word) == m}
+    over, top = FreeElement({}), {}
+    for word, c in Zr.terms.items():
+        weight = loop_weight(word)
+        if weight > m:
+            over.terms[word] = c
+        elif weight == m:
+            top[tuple(label[x] for x in word)] = sign * c
     diff = product_sum(lam, top) - sign * central_element(lam, r)
     checks = (
         Check(f"loop weight of Z_{r} bounded by {m}", not over,

@@ -7,12 +7,16 @@ algebra, the free algebra, polynomials in u over the free algebra and the
 matrix units of gl_N all store an element as a SparseElement, a map from
 monomials to nonzero scalars.  They differ only in how two monomials
 multiply and how a monomial prints; coercion, comparison and the linear
-and ring operations live here, each update through accumulate.  A caller
+and ring operations live here.  A sum updates through accumulate, and
+every product through _mul_into, the one multiply-accumulate, which adds
+scale * a * b into a term map with accumulate's update inlined.  A caller
 that needs more than ring arithmetic, such as a coefficient of u, a
 derivative at a point or the adjoint action, reads it off the terms
-itself.  column_determinant expands by row subsets, so each minor on the
-leading columns is built once and shared by every completion; its column
-step, extend_minors, widens every minor by one column, and a caller that
+itself.  column_determinant takes SparseElement entries of one ring and
+expands by row subsets, so each minor on the leading columns is built
+once and shared by every completion; its column step, extend_minors,
+widens every minor by one column, filling each wider minor's term map in
+place through _mul_into with the sign as the scale, and a caller that
 shares leading columns between determinants keeps those minors itself.
 echelon_add is the one elimination: it reads each row as a map from
 column to scalar, so a sparse row costs only its nonzero entries, and it
@@ -137,18 +141,31 @@ class SparseElement:
     def __rsub__(self, other):
         return -self + other
 
+    def _mul_into(self, out: dict, other, scale) -> dict:
+        """Add scale * self * other, other of the same ring, to the term
+        map out, dropping zeros: the one product loop, with the update of
+        accumulate inlined.  Updates out in place and returns it."""
+        times = self._times
+        pairs = other.terms.items()
+        for m1, c1 in self.terms.items():
+            c1 *= scale
+            for m2, c2 in pairs:
+                c12 = c1 * c2
+                for m, c in times(m1, m2):
+                    v = out.get(m, 0) + c12 * c
+                    if v:
+                        out[m] = v
+                    elif m in out:
+                        del out[m]
+        return out
+
     def __mul__(self, other):
         # elements before scalars, for the reason given in _coerce
         if isinstance(other, SparseElement):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-            times = self._times
-            out: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    accumulate(out, times(m1, m2), c1 * c2)
-            return self._new(out)
+            return self._new(self._mul_into({}, other, 1))
         if isinstance(other, Scalar):
             if not other:
                 return self._new({})
@@ -180,9 +197,9 @@ def column_determinant(matrix):
     """Sum over permutations p of sign(p) * m[p0][0] * m[p1][1] * ... .
 
     Factors multiply in column order, so entries may come from a
-    noncommutative ring; they need +, -, * and a truth value that is false
-    exactly at zero.  The first column gives the one-row minors, and
-    extend_minors then takes them across each further column in turn.
+    noncommutative ring; they are SparseElements of one ring.  The first
+    column gives the one-row minors, and extend_minors then takes them
+    across each further column in turn.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
@@ -201,7 +218,9 @@ def extend_minors(minors, column):
     rows and the first |R| columns; column is the next column, one entry
     per row.  Each minor is extended by every row i outside R:
         F(R | {i}) += (-1)^#{j in R : j > i} * F(R) * column[i].
-    The entry of a row in R is never read and a zero entry is skipped; a
+    Each wider minor is one term map that every product adds into, with
+    the sign as the scale, and becomes an element once, at the end.  The
+    entry of a row in R is never read and a zero entry is skipped; a
     wider minor that cancels to zero is left out of the result, so it is
     never extended.
     """
@@ -210,12 +229,15 @@ def extend_minors(minors, column):
         for i, entry in enumerate(column):
             if mask >> i & 1 or not entry:
                 continue
-            if (mask >> i).bit_count() & 1:
-                entry = -entry
             key = mask | 1 << i
-            term = minor * entry
-            extended[key] = extended[key] + term if key in extended else term
-    return {mask: minor for mask, minor in extended.items() if minor}
+            terms = extended.get(key)
+            if terms is None:
+                terms = extended[key] = {}
+            sign = -1 if (mask >> i).bit_count() & 1 else 1
+            minor._mul_into(terms, entry, sign)
+    # every minor lies in one ring, so any of them makes the elements
+    return {mask: minor._new(terms)
+            for mask, terms in extended.items() if terms}
 
 
 def echelon_add(pivots: dict, row: dict) -> bool:

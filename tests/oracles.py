@@ -194,6 +194,16 @@ def transposition_product(a, b) -> PbwElement:
     return PbwElement(alg, out)
 
 
+def pairwise_product(a, b):
+    """a * b with one accumulate call per pair of terms, through a's
+    _times: the reference for SparseElement's one multiply-accumulate."""
+    out: dict = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            accumulate(out, a._times(m1, m2), c1 * c2)
+    return a._new(out)
+
+
 def adjoint_action(lam, x, p) -> Polynomial:
     """Derivation extending v -> [x, v] on variables, position by position.
 

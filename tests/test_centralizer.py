@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -151,7 +150,7 @@ class TestBasisElements:
         table = tuple(dict(row) for row in sc.table)
         table[a][b] = ((z, 1),)
         monkeypatch.setattr(centralizer, "structure_constants",
-                            lambda lam: replace(sc, table=table))
+                            lambda lam: sc._replace(table=table))
         rep = verify_centralizer(lam)
         assert [c.name for c in rep.failures()] == ["bracket_grading"]
         assert rep.checks[2].detail == "[e[1,1;0], e[1,2;1]] has term e[2,2;0]"
@@ -263,8 +262,9 @@ class TestAdjointImages:
                 return super().get(x, default)
 
         sc = structure_constants(lam)
-        monkeypatch.setattr(centralizer, "structure_constants", lambda lam: replace(
-            sc, table=tuple(RecordingRow(row) for row in sc.table)))
+        table = tuple(RecordingRow(row) for row in sc.table)
+        monkeypatch.setattr(centralizer, "structure_constants",
+                            lambda lam: sc._replace(table=table))
 
         def insert(head, w, tail):
             inserted.append((head, w, tail))

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,19 @@ class TestComposition:
         assert not lam.is_increasing
         assert lam.part(1) == 4
         assert lam.reversed() == Composition((2, 3, 4))
+
+    def test_a_frozen_value_of_its_parts(self):
+        lam = Composition([1, 2])
+        assert lam == Composition((1, 2)) and lam != Composition((2, 1))
+        assert lam != (1, 2) and (1, 2) != lam
+        assert hash(lam) == hash(((1, 2),))
+        assert repr(lam) == "Composition(parts=(1, 2))"
+        assert pickle.loads(pickle.dumps(lam)) == lam
+        with pytest.raises(AttributeError):
+            lam.parts = (3,)
+        with pytest.raises(AttributeError):
+            del lam.parts
+        assert lam.parts == (1, 2)
 
     @pytest.mark.parametrize("bad", ["", "0", "-1,2", "2,1,2", "1,x",
                                      "1_0", "+2", "\uff11,2"])

@@ -89,6 +89,11 @@ def leibniz(m):
     return total
 
 
+def scalars(m):
+    """An integer matrix lifted to free-algebra scalars."""
+    return [[FreeElement({}) + c for c in row] for row in m]
+
+
 def random_free_matrix(rng, n):
     """n x n free-algebra matrix, about 30% of its entries zero."""
     return [[FreeElement({}) if rng.random() < 0.3
@@ -116,7 +121,8 @@ class TestColumnDeterminant:
         rng = random.Random(11)
         for n in (2, 3, 4):
             for _ in range(10):
-                m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+                m = scalars([[rng.randint(-5, 5) for _ in range(n)]
+                             for _ in range(n)])
                 assert column_determinant(m) == leibniz(m)
         # free-algebra entries, some zero: the factors of each term must
         # multiply in column order while zero entries prune permutations
@@ -157,17 +163,37 @@ class TestColumnDeterminant:
         assert det
         assert det == leibniz(m)
 
+    def test_leaves_its_entries_unchanged(self):
+        """Products add into fresh term maps, never into an entry's, even
+        where one element fills several places or the entry is 1."""
+        rng = random.Random(29)
+        tilde = pbw_algebra(Composition((1, 1, 1))).tilde
+        pbw = [[tilde(BasisIndex(i, j, 0)) for j in range(1, 4)]
+               for i in range(1, 4)]
+        pbw[2][1] = pbw[0][0]
+        matrices = [pbw]
+        for n in (1, 2, 3, 4):
+            m = random_free_matrix(rng, n)
+            m[-1][-1] = m[0][0] = m[0][0] + 1
+            m[0][-1] = FreeElement({(): 1})
+            matrices.append(m)
+        for m in matrices:
+            before = [[dict(x.terms) for x in row] for row in m]
+            assert column_determinant(m) == leibniz(m)
+            assert [[x.terms for x in row] for row in m] == before
+
     def test_leaves_no_reference_cycle(self):
+        m = scalars([[1, 2], [3, 4]])
         gc.collect()
         gc.disable()
         try:
-            column_determinant([[1, 2], [3, 4]])
+            column_determinant(m)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_equal_integer_columns_vanish(self):
-        m = [[2, 2, 5], [3, 3, -1], [-4, -4, 7]]
+        m = scalars([[2, 2, 5], [3, 3, -1], [-4, -4, 7]])
         assert column_determinant(m) == 0
 
     @settings(max_examples=25)
@@ -212,6 +238,21 @@ class TestExtendMinors:
                 assert first.get(full, FreeElement({})) == want
                 assert empty.get(full, FreeElement({})) == want
                 assert all(first.values()) and all(empty.values())
+
+    def test_leaves_its_minors_and_column_unchanged(self):
+        rng = random.Random(37)
+        for n in (2, 3, 4, 5):
+            m = random_free_matrix(rng, n)
+            m[1][1] = m[0][0] = m[0][0] + 1
+            minors = {1 << i: row[0] for i, row in enumerate(m) if row[0]}
+            for col in range(1, n):
+                column = [row[col] for row in m]
+                before = ({k: dict(v.terms) for k, v in minors.items()},
+                          [dict(x.terms) for x in column])
+                extended = extend_minors(minors, column)
+                assert ({k: v.terms for k, v in minors.items()},
+                        [x.terms for x in column]) == before
+                minors = extended
 
     def test_cancelled_minor_leaves_no_entry(self):
         """Rows 0 and 1 carry x, and the next column is y on both, so

@@ -3,7 +3,8 @@ module imports random or has an assert statement, every top-level
 function or class, and every method of one, is used somewhere in the
 package, every cache in the package is bounded, composition.state is
 the only one, every module.name that a docstring or comment cites
-exists, and importing the command line loads no process pool.
+exists, and importing the command line loads no process pool, no
+dataclasses and no inspect.
 
 __future__ imports are exempt.  The package root __init__.py is checked
 like every module, so it holds no re-export, and code that only tests
@@ -320,15 +321,27 @@ def test_every_citation_exists():
     assert stale == []
 
 
+def loaded_by_the_command_line(names) -> list[str]:
+    """Which of the modules names a fresh interpreter has loaded once it
+    imports nilcent.cli."""
+    src = str(Path(nilcent.__file__).parent.parent)
+    probe = ("import sys, nilcent.cli\n"
+             f"print(*sorted(sys.modules.keys() & {set(names)!r}))\n")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    return out.split()
+
+
 def test_the_command_line_loads_no_process_pool():
     """Only a sweep with more than one worker imports the pool, so a
     serial run and every per-composition subcommand start without
     multiprocessing and the modules it pulls in."""
-    src = str(Path(nilcent.__file__).parent.parent)
-    probe = ("import sys, nilcent.cli\n"
-             "print(*sorted(sys.modules.keys()"
-             " & {'multiprocessing', 'concurrent.futures.process'}))\n")
-    out = subprocess.run([sys.executable, "-c", probe], cwd=src,
-                         capture_output=True, text=True, check=True,
-                         timeout=60).stdout
-    assert out.split() == []
+    assert loaded_by_the_command_line(
+        ["multiprocessing", "concurrent.futures.process"]) == []
+
+
+def test_the_command_line_loads_no_dataclasses():
+    """No class of the package is a dataclass, so the command line starts
+    without dataclasses and the inspect, ast and dis it pulls in."""
+    assert loaded_by_the_command_line(["dataclasses", "inspect"]) == []

@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from nilcent import centralizer, slice as slice_module
 from nilcent.composition import Composition
+from nilcent.freealg import FreeElement
 from nilcent.linalg import column_determinant, echelon_add, format_scalar, rational_rank
 
 from oracles import normalising_add, normalising_rank
 
 
 def minor_rank(matrix) -> int:
-    """Largest k such that some k x k minor is nonzero."""
+    """Largest k such that some k x k minor is nonzero, each minor taken
+    over the free algebra's integer scalars."""
     n_rows, n_cols = len(matrix), len(matrix[0])
     for k in range(min(n_rows, n_cols), 0, -1):
         for rows in itertools.combinations(range(n_rows), k):
             for cols in itertools.combinations(range(n_cols), k):
-                if column_determinant([[matrix[i][j] for j in cols]
-                                       for i in rows]):
+                if column_determinant([[FreeElement({}) + matrix[i][j]
+                                        for j in cols] for i in rows]):
                     return k
     return 0
 

@@ -1,8 +1,11 @@
-"""Scalar coercion and mixed products on every SparseElement subclass."""
+"""Scalar coercion, mixed products and the one multiply-accumulate on
+every SparseElement subclass."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcent.centralizer import BasisIndex
 from nilcent.composition import Composition
@@ -10,7 +13,11 @@ from nilcent.enveloping import pbw_algebra
 from nilcent.freealg import FreeElement, UPolynomial
 from nilcent.invariants import Polynomial
 
+from conftest import free_elements, pbw_elements, polynomials
+from oracles import pairwise_product
+
 LAM12 = Composition((1, 2))
+LAM112 = Composition((1, 1, 2))
 
 
 def generators():
@@ -66,3 +73,58 @@ def test_different_algebras_do_not_multiply():
     with pytest.raises(TypeError):
         pbw * free
 
+
+
+def upolynomials():
+    """Random polynomials in u over words in two letters."""
+    word = st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), word),
+                            st.integers(-3, 3).filter(bool), max_size=3)
+    return terms.map(UPolynomial)
+
+
+RINGS = {
+    "free": free_elements,
+    "pbw": lambda: pbw_elements(LAM112),
+    "polynomial": lambda: polynomials(LAM112),
+    "upolynomial": upolynomials,
+}
+
+
+def cancelling_factors():
+    """(name, p, q) of one ring whose products p*q and q*p share a
+    monomial, so that in (p + q) * (p - q) it cancels; in the enveloping
+    algebra the bracket [q, p] is left."""
+    alg = pbw_algebra(LAM112)
+    return [
+        ("free", FreeElement.letter("a"), FreeElement({(): 1})),
+        ("pbw", alg.embed((1, 3, 1)), alg.embed((3, 1, 0))),
+        ("polynomial", Polynomial.variable(BasisIndex(1, 1, 0)),
+         Polynomial.variable(BasisIndex(3, 3, 1))),
+        ("upolynomial", UPolynomial({(1, ()): 1}),
+         UPolynomial({(0, ("a",)): 1})),
+    ]
+
+
+def assert_matches_pairwise(a, b):
+    got = a * b
+    assert got.terms == pairwise_product(a, b).terms
+    assert 0 not in got.terms.values()
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_product_matches_the_pairwise_loop(ring, data):
+    a, b = data.draw(RINGS[ring]()), data.draw(RINGS[ring]())
+    assert_matches_pairwise(a, b)
+    assert_matches_pairwise(a * 3 + b, b - Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p,q", [c[1:] for c in cancelling_factors()],
+                         ids=[c[0] for c in cancelling_factors()])
+def test_cancelled_terms_leave_no_zero(p, q):
+    assert_matches_pairwise(p + q, p - q)
+    shared = (p * q).terms.keys() & (q * p).terms.keys()
+    assert shared and not shared & ((p + q) * (p - q)).terms.keys()
+    assert (p + q) * (p - q) == p * p - q * q + (q * p - p * q)
