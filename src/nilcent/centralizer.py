@@ -6,8 +6,10 @@ has one Jordan block per row.  The centralizer of e has the basis
     e[i,j;r] = sum of matrix units E_{h,k} over boxes h in row i and
                k in row j with col(k) - col(h) = r,
 
-one for each admissible label, i.e. shift(i,j) <= r < lam_j.  Structure
-constants come from the shifted-Yangian bracket rule
+one for each admissible label, i.e. shift(i,j) <= r < lam_j.  This
+module alone knows that window: is_admissible tests a label against it,
+basis_list lists the labels inside it, and every other module asks
+is_admissible or looks the label up in the basis.  Structure constants come from the shifted-Yangian bracket rule
 
     [e[i,j;r], e[k,l;s]] = d_jk e[i,l;r+s] - d_il e[k,j;r+s],
 
@@ -16,8 +18,8 @@ keeps the one bracket table.  It interns each label as its position in
 basis_list, whose lexicographic order is label order, and keeps one row
 per left argument: table[a][b] is [basis[a], basis[b]] as sorted
 (position, coefficient) pairs, and a zero bracket has no entry.  The
-sparse matrix model (UnitMatrix, matrix_commutator) checks the basis
-against e in verify_centralizer; the tests also check the bracket rule
+sparse matrix model UnitMatrix checks in verify_centralizer that every
+basis matrix commutes with e; the tests also check the bracket rule
 against matrix commutators with it.  lie_generators picks basis labels
 that generate g_e as a Lie algebra and certifies them by the rank of
 their bracket closure.  adjoint_images is the one walk of ad basis
@@ -27,10 +29,11 @@ only how a letter out of place is put back in order.
 annihilator_checks, the centrality check, runs it on the generators
 before every label; invariants.verify_invariant runs it too, as the
 direct invariance walk that the tests hold the sweep's derived
-invariance row to.  determinant_sum is the paper's sum
-over mu of column determinants in the labels e[a,b;mu_b - 1], behind z_r
-and x_r alike.  LABEL spells a label, for str.format, and
-structure_constants spells each basis label once per composition.
+invariance row to.  determinant_sum is the paper's sum over mu of
+column determinants in the labels e[a,b;mu_b - 1], behind z_r and x_r
+alike; it looks each label up in the basis, so a label outside it stops
+the sum.  LABEL spells a label, for str.format, and structure_constants
+spells each basis label once per composition.
 """
 
 from __future__ import annotations
@@ -69,10 +72,6 @@ class UnitMatrix(SparseElement):
 
     def _format_monomial(self, m) -> str:
         return f"E({m[0]},{m[1]})"
-
-
-def matrix_commutator(a: UnitMatrix, b: UnitMatrix) -> UnitMatrix:
-    return a * b - b * a
 
 
 def nilpotent_matrix(lam: Composition) -> UnitMatrix:
@@ -261,22 +260,15 @@ def annihilator_checks(lam: Composition, words: dict, insert, residual,
     return tuple(Check(name(label), True) for label in names)
 
 
-@per_composition
-def _admitted(lam: Composition) -> set:
-    """The labels determinant_sum has found admissible for lam."""
-    return set()
-
-
 def determinant_sum(lam: Composition, r: int, entry) -> dict:
     """Terms of the sum over mu in enumerate_mu(lam, r) of the column
     determinant of entry(e[a,b;mu_b - 1]), a and b in the support of mu.
 
     Many mu share a label, so each label's entry is built once, at its
-    first use in the call, and each label is checked admissible once per
-    composition, at its first use in any call; for a minimal mu no label
-    fails.
+    first use in the call, after the label is found in the basis of lam;
+    for a minimal mu every label is there.
     """
-    admitted = _admitted(lam)
+    basis = structure_constants(lam).index_of
     entries: dict = {}
     terms: dict = {}
     for mu in enumerate_mu(lam, r):
@@ -287,12 +279,10 @@ def determinant_sum(lam: Composition, r: int, entry) -> dict:
             for x in row:
                 if x in entries:
                     continue
-                if x not in admitted:
-                    if not is_admissible(lam, x):
-                        raise RuntimeError(
-                            "inadmissible column-determinant factor "
-                            f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
-                    admitted.add(x)
+                if x not in basis:
+                    raise RuntimeError(
+                        "inadmissible column-determinant factor "
+                        f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
                 entries[x] = entry(x)
         det = column_determinant([[entries[x] for x in row] for row in labels])
         accumulate(terms, det.terms.items())
@@ -306,7 +296,7 @@ def verify_centralizer(lam: Composition) -> Report:
     mats = [basis_element(lam, idx) for idx in basis]
     e = nilpotent_matrix(lam)
 
-    commute = all(not matrix_commutator(m, e) for m in mats)
+    commute = all(m * e == e * m for m in mats)
     expected_dim = sum(
         min(p, q) for p in lam.parts for q in lam.parts
     )

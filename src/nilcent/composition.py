@@ -6,11 +6,14 @@ every basis label downstream) depends on the order of the parts.  The
 module provides the degree sequence of the generating invariants, the
 enumeration of subcompositions of a given weight with as few nonzero parts
 as possible, and the shift s_{i,j} = lam_j - min(lam_i, lam_j) that
-bounds from below the degrees admissible for the row pair (i, j).  A
+bounds from below the degrees admissible for the row pair (i, j); only
+centralizer reads the shift, to state the admissible window.  A
 subcomposition mu is a plain tuple of parts 0 <= mu_i <= lam_i, built here
-alone; centralizer.determinant_sum walks the minimal ones.  state(lam) is
-the one cache: every builder under per_composition keeps its results for
-lam there, and all of them go when another composition is asked for.
+alone, by one recursive walk over the remaining parts, weight and room;
+centralizer.determinant_sum walks the minimal ones.  state(lam) is the
+one cache: every builder under per_composition writes its result for lam
+there once, and only the rewriting memo that the PbwAlgebra there owns
+grows after; all of it goes when another composition is asked for.
 """
 
 from __future__ import annotations
@@ -164,28 +167,26 @@ def min_length(lam: Composition, r: int) -> int:
 
 
 def weight_subcompositions(lam: Composition, r: int):
-    """All weight-r subcompositions as part tuples, ascending lexicographic."""
+    """All weight-r subcompositions as part tuples, ascending lexicographic.
+
+    r is checked here, at the call, before the walk is returned.
+    """
     if not 0 <= r <= lam.N:
         raise ValueError(f"weight must lie in 0..{lam.N}, got {r}")
-    bounds = lam.parts
-    n = len(bounds)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-    prefix: list[int] = []
+    return _subcompositions(lam.parts, r, lam.N)
 
-    def rec(i: int, remaining: int):
-        if i == n:
-            yield tuple(prefix)
-            return
-        low = max(0, remaining - suffix[i + 1])
-        high = min(bounds[i], remaining)
-        for v in range(low, high + 1):
-            prefix.append(v)
-            yield from rec(i + 1, remaining - v)
-            prefix.pop()
 
-    yield from rec(0, r)
+def _subcompositions(parts: tuple, weight: int, room: int):
+    """Tuples mu with 0 <= mu_i <= parts_i summing to weight, ascending
+    lexicographic; room is sum(parts)."""
+    if not parts:
+        yield ()
+        return
+    head, rest = parts[0], parts[1:]
+    room -= head
+    for v in range(max(0, weight - room), min(head, weight) + 1):
+        for tail in _subcompositions(rest, weight - v, room):
+            yield (v, *tail)
 
 
 @per_composition

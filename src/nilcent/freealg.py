@@ -2,7 +2,8 @@
 
 Words are tuples of hashable letters; for a fixed composition the letters
 are TSymbol(i, j, s) with s >= 1, subject to the window rule: the symbol
-of superscript s vanishes when 0 < s <= shift(i,j) or s > lam_j, and
+of superscript s >= 1 is a letter exactly when e[i,j;s-1] is a basis
+label, which centralizer.is_admissible decides, and vanishes otherwise;
 superscript 0 is the scalar delta_{i,j} (never stored as a letter).  The
 column determinant of the twisted symbol matrix produces a monic
 polynomial in a central variable u whose coefficients Z_r expand the
@@ -27,14 +28,13 @@ import itertools
 from math import comb
 from typing import NamedTuple
 
-from .centralizer import BasisIndex
+from .centralizer import BasisIndex, is_admissible
 from .composition import (
     Composition,
     invariant_degrees,
     per_composition,
     require_increasing,
     require_weight,
-    shift,
     weight_subcompositions,
 )
 from .enveloping import central_element, product_sum
@@ -73,14 +73,15 @@ def _format_letter(x) -> str:
 
 
 def t_symbol(lam: Composition, i: int, j: int, s: int) -> FreeElement:
-    """The symbol T[i,j;s] under the window rule of lam."""
+    """The symbol T[i,j;s] under the window rule of lam: for s >= 1 the
+    letter T[i,j;s] when e[i,j;s-1] is admissible, else zero."""
     if not (1 <= i <= lam.n and 1 <= j <= lam.n):
         raise ValueError(f"row labels must lie in 1..{lam.n}, got ({i}, {j})")
     if s < 0:
         raise ValueError(f"superscript must be nonnegative, got {s}")
     if s == 0:
         return FreeElement({(): 1} if i == j else {})
-    if s <= shift(lam, i, j) or s > lam.part(j):
+    if not is_admissible(lam, (i, j, s - 1)):
         return FreeElement({})
     return FreeElement.letter(TSymbol(i, j, s))
 

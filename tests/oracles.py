@@ -17,7 +17,6 @@ from nilcent.centralizer import (
     basis_element,
     basis_list,
     is_admissible,
-    matrix_commutator,
     structure_constants,
     unit_support,
 )
@@ -51,6 +50,11 @@ def box_position(lam, k: int) -> tuple[int, int]:
             return i, k
         k -= width
     raise ValueError(f"box {k} lies outside lambda={lam}")
+
+
+def matrix_commutator(a, b):
+    """[a, b] = a b - b a of two UnitMatrix elements."""
+    return a * b - b * a
 
 
 def expand_in_basis(lam, mat) -> dict:

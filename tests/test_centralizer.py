@@ -13,7 +13,6 @@ from nilcent.centralizer import (
     basis_list,
     is_admissible,
     lie_generators,
-    matrix_commutator,
     nilpotent_matrix,
     structure_constants,
     unit_support,
@@ -24,7 +23,8 @@ from nilcent.enveloping import pbw_algebra, product_sum
 from nilcent.invariants import Polynomial
 from nilcent.slice import restrict
 
-from oracles import box_position, bracket, expand_in_basis, lie_closure_rank
+from oracles import (box_position, bracket, expand_in_basis, lie_closure_rank,
+                     matrix_commutator)
 
 
 def all_compositions(max_total):
@@ -113,6 +113,16 @@ class TestBasisElements:
             BasisIndex(2, 2, 0), BasisIndex(2, 2, 1))
         assert len(basis_list(Composition((1, 1)))) == 4
         assert len(basis_list(Composition((2, 3, 4)))) == 23
+
+    def test_basis_list_is_the_admissible_window(self):
+        """basis_list and is_admissible state one window: the basis is
+        every label with r < lam_j that is_admissible accepts, in order."""
+        for lam in all_compositions(7):
+            n = lam.n
+            window = [BasisIndex(i, j, r) for i in range(1, n + 1)
+                      for j in range(1, n + 1) for r in range(lam.part(j))
+                      if is_admissible(lam, BasisIndex(i, j, r))]
+            assert basis_list(lam) == tuple(window)
 
     def test_basis_list_sorted_and_sized(self):
         for lam in all_compositions(6):

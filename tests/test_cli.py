@@ -506,23 +506,34 @@ class TestUsageErrors:
         assert rc == getattr(cli, code)
         assert "error:" in err and "Traceback" not in err
 
-    def test_inadmissible_factor_exit_code(self, capsys, monkeypatch):
+    @staticmethod
+    def run_with_non_minimal_mu(capsys, monkeypatch, command):
+        """Run command on 1,2 with the non-minimal mu = (1,1) planted at
+        weight 2, where it reads the label e[1,2;0] outside the basis."""
+        real = centralizer.enumerate_mu
+        monkeypatch.setattr(centralizer, "enumerate_mu", lambda lam, r: (
+            ((1, 1),) if r == 2 else real(lam, r)))
         # a fresh state holds no central element, so determinant_sum runs
         composition.state.cache_clear()
-        monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: False)
-        rc, out, err = run(capsys, "central", "--lambda", "1,2")
+        try:
+            return run(capsys, command, "--lambda", "1,2")
+        finally:
+            composition.state.cache_clear()
+
+    def test_inadmissible_factor_exit_code(self, capsys, monkeypatch):
+        rc, out, err = self.run_with_non_minimal_mu(capsys, monkeypatch,
+                                                    "central")
         assert rc == cli.EXIT_VERIFY and out == ""
         assert err == ("error: inadmissible column-determinant factor "
-                       "e[2,2;0] for mu=0,1\n")
+                       "e[1,2;0] for mu=1,1\n")
 
     def test_inadmissible_invariant_factor_exit_code(self, capsys,
                                                      monkeypatch):
-        composition.state.cache_clear()
-        monkeypatch.setattr(centralizer, "is_admissible", lambda lam, idx: False)
-        rc, out, err = run(capsys, "invariants", "--lambda", "1,2")
+        rc, out, err = self.run_with_non_minimal_mu(capsys, monkeypatch,
+                                                    "invariants")
         assert rc == cli.EXIT_VERIFY and out == ""
         assert err == ("error: inadmissible column-determinant factor "
-                       "e[2,2;0] for mu=0,1\n")
+                       "e[1,2;0] for mu=1,1\n")
 
     def test_no_minimal_subcomposition_exit_code(self, capsys, monkeypatch):
         """The guard in enumerate_mu holds under python -O too."""

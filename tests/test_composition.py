@@ -137,6 +137,19 @@ class TestMinLength:
             with pytest.raises(ValueError, match=r"weight must lie in 0\.\.3"):
                 list(weight_subcompositions(lam, r))
 
+    def test_subcompositions_out_of_range_raise_at_the_call(self):
+        with pytest.raises(ValueError, match=r"weight must lie in 0\.\.3"):
+            weight_subcompositions(Composition((1, 2)), 4)
+
+    def test_subcompositions_complete(self):
+        """Every tuple under lam of weight r, in lexicographic order."""
+        for lam in all_compositions(8):
+            boxes = [range(p + 1) for p in lam.parts]
+            for r in range(lam.N + 1):
+                brute = [mu for mu in itertools.product(*boxes)
+                         if sum(mu) == r]
+                assert list(weight_subcompositions(lam, r)) == brute
+
     def test_out_of_range(self):
         lam = Composition((1, 2))
         for r in (0, 4):

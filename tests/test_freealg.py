@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from nilcent import composition, freealg
-from nilcent.centralizer import BasisIndex
+from nilcent.centralizer import BasisIndex, is_admissible
 from nilcent.composition import (
     Composition,
     monotone_compositions,
@@ -280,6 +280,17 @@ class TestTSymbol:
         assert not t_symbol(LAM12, 2, 1, 2)
         assert t_symbol(LAM12, 2, 2, 2) == T(2, 2, 2)
         assert not t_symbol(LAM12, 2, 2, 3)
+
+    def test_window_is_the_admissible_one(self):
+        """T[i,j;s] is a letter exactly when e[i,j;s-1] is a basis label."""
+        for total in range(1, 8):
+            for lam in monotone_compositions(total):
+                for i, j in itertools.product(range(1, lam.n + 1), repeat=2):
+                    for s in range(1, lam.part(j) + 2):
+                        letter = FreeElement.letter(TSymbol(i, j, s))
+                        expected = letter if is_admissible(
+                            lam, (i, j, s - 1)) else FreeElement({})
+                        assert t_symbol(lam, i, j, s) == expected
 
     def test_zero_superscript_is_kronecker(self):
         assert t_symbol(LAM12, 1, 1, 0) == FreeElement({(): 1})

@@ -2,9 +2,9 @@
 module imports random or has an assert statement, every top-level
 function or class, and every method of one, is used somewhere in the
 package, every cache in the package is bounded, composition.state is
-the only one, every module.name that a docstring or comment cites
-exists, and importing the command line loads no process pool, no
-dataclasses and no inspect.
+the only one, only centralizer imports composition.shift, every
+module.name that a docstring or comment cites exists, and importing the
+command line loads no process pool, no dataclasses and no inspect.
 
 __future__ imports are exempt.  The package root __init__.py is checked
 like every module, so it holds no re-export, and code that only tests
@@ -283,6 +283,31 @@ def test_one_cache_holds_every_composition_state():
     caches = [(f"{path.stem}.{fn}", ast.unparse(d)) for path in MODULES
               for fn, d in cache_decorators(path.read_text())]
     assert caches == [("composition.state", "lru_cache(maxsize=1)")]
+
+
+def imported_names(source: str, module: str) -> set[str]:
+    """The names that source imports, at any depth, from the package
+    module of that name."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and node.module in (module, f"nilcent.{module}")
+            for a in node.names}
+
+
+def test_the_check_sees_an_imported_name():
+    source = ("from .composition import Composition, shift\n"
+              "def f():\n    from nilcent.composition import state\n"
+              "from .centralizer import is_admissible\n")
+    assert imported_names(source, "composition") == {
+        "Composition", "shift", "state"}
+
+
+def test_only_centralizer_reads_the_shift():
+    """The admissible window is stated once, in centralizer, and every
+    other module asks is_admissible or basis_list."""
+    assert [p.stem for p in MODULES
+            if "shift" in imported_names(p.read_text(), "composition")
+            ] == ["centralizer"]
 
 
 def stale_citations(source: str, modules: dict) -> list[str]:
