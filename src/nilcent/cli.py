@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 on usage errors, 3 when a verification fails
-or an internal check raises, 4 when memory runs out.
+or an internal check raises, 4 when memory runs out, 141 (128 + SIGPIPE)
+when the reader of stdout closes it before the output is written.
 All verification output on stdout is deterministic: no check draws a
 random point, and the same arguments print the same bytes for any --jobs
 and any hash seed.  Timing goes to stderr.  Only a sweep that runs more
@@ -22,7 +23,7 @@ from . import enveloping
 from .centralizer import LABEL, basis_list, unit_support, verify_centralizer
 from .composition import (MAX_TOTAL, Composition, invariant_degrees, min_length,
                           monotone_compositions)
-from .enveloping import central_element, filtration_degree, pbw_to_json_obj, verify_central
+from .enveloping import filtration_degree, pbw_to_json_obj, verify_central
 from .freealg import expansion_identity, verify_graded_image, z_polynomial
 from .invariants import elementary_invariant, poly_to_json_obj, top_symbol
 from .slice import jacobian_independence, slice_coordinates, verify_slice_coordinates
@@ -31,12 +32,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports for yes | head
 
 # The symbol-determinant checks join the sweep only for increasing
 # compositions up to this N.  Cost does not set the cap: all three checks
 # for 1^6 (z_polynomial, the expansion and the graded image, building the
-# central elements included) take about 0.28 s (2-core x86-64,
-# Python 3.11).  Raising it adds rows to the sweep output, whose recorded
+# central elements included) take 0.10-0.16 s (2-core x86-64,
+# Python 3.11.7).  Raising it adds rows to the sweep output, whose recorded
 # benchmark digests and acceptance counts then change with it.
 EXPANSION_CAP = 5
 
@@ -207,7 +209,7 @@ def _basis(lam: Composition, ns) -> tuple:
 
 def _central(lam: Composition, ns) -> tuple:
     def one(r):
-        z = central_element(lam, r)
+        z = enveloping.central_element(lam, r)
         obj = pbw_to_json_obj(z)
         obj.update(r=r, filtration_degree=filtration_degree(z))
         return obj, [f"z_{r} = {z!r}"], True
@@ -301,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         ns = build_parser().parse_args(argv)
         if ns.command == "sweep":
@@ -309,12 +310,15 @@ def main(argv=None) -> int:
         else:
             handler = COMMANDS[ns.command][0]
             obj, lines, ok = handler(Composition.from_string(ns.lam), ns)
-        if ns.as_json:
-            print(json.dumps(obj, indent=2, sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
+        # flushed here, so that a closed reader raises inside the try
+        print(json.dumps(obj, indent=2, sort_keys=True) if ns.as_json
+              else "\n".join(lines), flush=True)
         return EXIT_OK if ok else EXIT_VERIFY
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -163,7 +163,6 @@ def min_length(lam: Composition, r: int) -> int:
         total += p
         if total >= r:
             return d
-    raise RuntimeError("unreachable: r <= N")
 
 
 def weight_subcompositions(lam: Composition, r: int):
@@ -219,18 +218,15 @@ def monotone_compositions(total: int) -> list[Composition]:
     """
     if total < 1:
         raise ValueError("total must be positive")
-    out: list[Composition] = []
-    prefix: list[int] = []
-
-    def rec(remaining: int, minimum: int):
-        if remaining == 0:
-            out.append(Composition(tuple(prefix)))
-            return
-        for p in range(minimum, remaining + 1):
-            prefix.append(p)
-            rec(remaining - p, p)
-            prefix.pop()
-
-    rec(total, 1)
+    out = [Composition(parts) for parts in _increasing(total, 1)]
     out.extend(c.reversed() for c in list(out) if c.parts != c.parts[::-1])
     return out
+
+
+def _increasing(remaining: int, least: int):
+    """Weakly increasing tuples of parts >= least summing to remaining."""
+    if not remaining:
+        yield ()
+    for p in range(least, remaining + 1):
+        for tail in _increasing(remaining - p, p):
+            yield (p, *tail)

@@ -32,7 +32,7 @@ from .reports import Report
 class Polynomial(SparseElement):
     """Sparse commutative polynomial.
 
-    Monomials are sorted tuples of hashable, orderable variable labels;
+    Monomials are sorted tuples of basis labels or slice coordinates PVar;
     coefficients are exact scalars.  The zero polynomial has no terms.
     """
 
@@ -59,9 +59,7 @@ class Polynomial(SparseElement):
 def _format_variable(v) -> str:
     if isinstance(v, BasisIndex):
         return LABEL.format(v)
-    if isinstance(v, tuple) and len(v) == 2:
-        return f"p[{v[0]},{v[1]}]"
-    return str(v)
+    return f"p[{v[0]},{v[1]}]"
 
 
 def top_symbol(a) -> Polynomial:

@@ -122,10 +122,7 @@ class SparseElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        return self._new(accumulate(dict(big), small.items()))
+        return self._new(accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 

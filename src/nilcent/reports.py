@@ -1,9 +1,7 @@
 """Small pass/fail containers shared by the verification entry points.
 
 Check and Report are named tuples: a sweep builds tens of thousands of
-Check rows, and a named tuple's __new__ builds its tuple in one call,
-where a frozen dataclass's __init__ sets each field through
-object.__setattr__.
+Check rows, and a named tuple's __new__ builds its tuple in one call.
 """
 
 from __future__ import annotations

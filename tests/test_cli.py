@@ -1,7 +1,11 @@
 import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -501,7 +505,7 @@ class TestUsageErrors:
         def fail(lam, r):
             raise exc
 
-        monkeypatch.setattr(cli, "central_element", fail)
+        monkeypatch.setattr(enveloping, "central_element", fail)
         rc, _, err = run(capsys, "central", "--lambda", "1,2", "--r", "1")
         assert rc == getattr(cli, code)
         assert "error:" in err and "Traceback" not in err
@@ -567,3 +571,25 @@ class TestUsageErrors:
 
     def test_module_entry_point(self, capsys):
         from nilcent import __main__  # noqa: F401  import must not execute main
+
+
+@pytest.mark.parametrize("argv", [["degrees", "--lambda", "1,2"],
+                                  ["central", "--lambda", "1,1,1,1,1,1"],
+                                  ["sweep", "--max-N", "3"]],
+                         ids=["degrees", "central", "sweep"])
+def test_closed_stdout_ends_quietly(argv):
+    """Output into a pipe whose reader has gone exits 141, as a shell
+    reports for yes | head, with no traceback.  The read end closes before
+    the start, so the write always fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "nilcent",
+                               *argv], cwd=Path(cli.__file__).parent.parent,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr

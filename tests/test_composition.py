@@ -265,8 +265,20 @@ class TestMonotoneCompositions:
             monotone_compositions(0)
 
     def test_all_monotone_and_complete(self):
-        for total in range(1, 7):
+        """Equal, in the documented order, to a filter of all
+        2^(total - 1) compositions: the increasing ones in ascending
+        lexicographic order, then each non-constant one reversed."""
+        for total in range(1, 11):
             got = monotone_compositions(total)
             assert len(set(got)) == len(got)
             for lam in got:
                 assert lam.N == total
+            every = [tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+                     for k in range(total)
+                     for cuts in itertools.combinations(range(1, total), k)]
+            assert len(every) == 2 ** (total - 1)
+            increasing = sorted(c for c in every if list(c) == sorted(c))
+            decreasing = [c for c in every if list(c[::-1]) == sorted(c)]
+            mirrored = [c[::-1] for c in increasing if len(set(c)) > 1]
+            assert sorted(mirrored) == sorted(set(decreasing) - {*increasing})
+            assert [c.parts for c in got] == increasing + mirrored

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcent.centralizer import BasisIndex
+from nilcent.centralizer import BasisIndex, UnitMatrix
 from nilcent.composition import Composition
 from nilcent.enveloping import pbw_algebra
 from nilcent.freealg import FreeElement, UPolynomial
 from nilcent.invariants import Polynomial
+from nilcent.linalg import accumulate
 
 from conftest import free_elements, pbw_elements, polynomials
 from oracles import pairwise_product
@@ -73,6 +74,36 @@ def test_different_algebras_do_not_multiply():
     with pytest.raises(TypeError):
         pbw * free
 
+
+def larger_and_smaller():
+    """(name, p, q) of one ring, p with more terms than q, sharing a
+    monomial that cancels in p + q."""
+    a, b = FreeElement.letter("a"), FreeElement.letter("b")
+    alg = pbw_algebra(LAM112)
+    x, y = alg.embed((1, 3, 1)), alg.embed((3, 1, 0))
+    u, v = (Polynomial.variable(BasisIndex(1, 1, 0)),
+            Polynomial.variable(BasisIndex(3, 3, 1)))
+    return [
+        ("free", a * b + b + 2, -b),
+        ("pbw", x * y + y + 2, -y),
+        ("polynomial", u * v + v + 2, -v),
+        ("upolynomial", UPolynomial({(1, ()): 1, (0, ("a",)): 1, (2, ()): 3}),
+         UPolynomial({(1, ()): -1})),
+        ("unit_matrix", UnitMatrix({(1, 2): 1, (2, 3): 1, (1, 1): 2}),
+         UnitMatrix({(1, 2): -1})),
+    ]
+
+
+@pytest.mark.parametrize("p,q", [c[1:] for c in larger_and_smaller()],
+                         ids=[c[0] for c in larger_and_smaller()])
+def test_sum_leaves_its_operands_unchanged(p, q):
+    assert len(p.terms) > len(q.terms)
+    p_terms, q_terms = dict(p.terms), dict(q.terms)
+    expected = accumulate(accumulate({}, p_terms.items()), q_terms.items())
+    assert not expected.keys() & q_terms.keys()
+    for total in (p + q, q + p):
+        assert total.terms == expected
+        assert p.terms == p_terms and q.terms == q_terms
 
 
 def upolynomials():
