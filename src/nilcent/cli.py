@@ -5,9 +5,11 @@ or an internal check raises, 4 when memory runs out, 141 (128 + SIGPIPE)
 when the reader of stdout closes it before the output is written.
 All verification output on stdout is deterministic: no check draws a
 random point, and the same arguments print the same bytes for any --jobs
-and any hash seed.  Timing goes to stderr.  Only a sweep that runs more
-than one worker imports the process pool, so sweep --jobs 1 and the
-per-composition subcommands load none of multiprocessing.
+and any hash seed.  Timing and error: lines go to stderr; a closed or
+broken stderr drops them and changes neither stdout nor the exit code.
+Only a sweep that runs more than one worker imports the process pool, so
+sweep --jobs 1 and the per-composition subcommands load none of
+multiprocessing.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from . import enveloping
 from .centralizer import LABEL, basis_list, unit_support, verify_centralizer
@@ -127,6 +129,16 @@ def _timed_sweep(lam: Composition) -> tuple[list[dict], float]:
     return sweep_composition(lam), time.perf_counter() - t0
 
 
+def _to_stderr(line: str) -> None:
+    """Print line to stderr; a closed or broken stderr drops it, so that it
+    changes neither stdout nor the exit code."""
+    # sys.stderr is None when the interpreter started with fd 2 closed, and
+    # print(file=None) would write to stdout
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def _sweep(max_n: int, jobs: int) -> tuple:
     if not 1 <= max_n <= MAX_TOTAL:
         raise ValueError(f"--max-N must lie in 1..{MAX_TOTAL}, got {max_n}")
@@ -152,9 +164,9 @@ def _sweep(max_n: int, jobs: int) -> tuple:
     with context as pool:
         mapped = (pool.map if pool else map)(_timed_sweep, lams)
         for lam, (chunk, seconds) in zip(lams, mapped):
-            print(f"lambda={lam}: {seconds:.2f}s", file=sys.stderr)
+            _to_stderr(f"lambda={lam}: {seconds:.2f}s")
             per_lam.append(chunk)
-    print(f"sweep total: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    _to_stderr(f"sweep total: {time.perf_counter() - t0:.2f}s")
 
     rows = [r for chunk in per_lam for r in chunk]
     ok = all(r["ok"] for r in rows)
@@ -320,11 +332,11 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return EXIT_USAGE
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _to_stderr(f"error: {exc}")
         return EXIT_VERIFY
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _to_stderr("error: out of memory")
         return EXIT_RESOURCE

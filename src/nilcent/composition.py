@@ -19,21 +19,24 @@ grows after; all of it goes when another composition is asked for.
 from __future__ import annotations
 
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 MAX_TOTAL = 64
 
 
-class Composition:
+class Composition(NamedTuple("Composition", [("parts", tuple)])):
     """A weakly monotone tuple of positive part sizes.
 
-    Frozen, equal and hashed by its parts, and never equal to a bare tuple.
+    A named tuple of its parts: frozen, equal and hashed as (parts,), so
+    equal to no bare tuple of parts.  Construction and unpickling (protocol
+    2 and up) run __new__'s checks; _make and _replace would skip them, and
+    nothing calls either.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
+    def __new__(cls, parts):
         parts = tuple(parts)
-        object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("a composition needs at least one part")
         # type, not isinstance: a bool is an int, and 2.7 must not become 2
@@ -43,32 +46,13 @@ class Composition:
             raise ValueError(
                 f"total {sum(parts)} exceeds the supported bound {MAX_TOTAL}"
             )
+        self = super().__new__(cls, parts)
         decreasing = all(a >= b for a, b in zip(parts, parts[1:]))
         if not (self.is_increasing or decreasing):
             # sorting silently would renumber boxes and relabel every basis
             # element, so the caller must commit to an order explicitly
             raise ValueError(f"parts {parts} are not weakly monotone")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle rebuilds through __init__, since __setattr__ refuses
-        return Composition, (self.parts,)
-
-    def __eq__(self, other):
-        if type(other) is not Composition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Composition(parts={self.parts!r})"
+        return self
 
     @classmethod
     def from_string(cls, text: str) -> "Composition":
@@ -103,8 +87,7 @@ class Composition:
     def reversed(self) -> "Composition":
         return Composition(self.parts[::-1])
 
-    def __str__(self):
-        return self.to_string()
+    __str__ = to_string
 
 
 @lru_cache(maxsize=1)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import hashlib
 import json
 import os
@@ -593,3 +594,26 @@ def test_closed_stdout_ends_quietly(argv):
     assert proc.returncode == cli.EXIT_PIPE == 141
     assert b"Traceback" not in proc.stderr
     assert b"Exception ignored" not in proc.stderr
+
+
+class ClosedStream:
+    """A text stream on a closed descriptor: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", [ClosedStream(), None],
+                         ids=["closed-later", "closed-at-start"])
+def test_closed_stderr_changes_neither_stdout_nor_exit_code(capsys,
+                                                            monkeypatch,
+                                                            stderr):
+    """A closed stderr drops the timing and error: lines, and nothing else:
+    the sweep's stdout and every exit code stay as with a working one.
+    An interpreter started with fd 2 closed has sys.stderr None."""
+    argv = ["sweep", "--max-N", "2", "--jobs", "1"]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == cli.EXIT_OK and "SWEEP OK" in out
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run(capsys, *argv)[:2] == (rc, out)
+    assert cli.main(["degrees", "--lambda", "x"]) == cli.EXIT_USAGE

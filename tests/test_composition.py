@@ -48,6 +48,14 @@ class TestComposition:
         assert hash(lam) == hash(((1, 2),))
         assert repr(lam) == "Composition(parts=(1, 2))"
         assert pickle.loads(pickle.dumps(lam)) == lam
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(lam, protocol)) == lam
+            # unpickling runs the checks: parts (2, 1, 1) edited to (2, 1, 2)
+            data = pickle.dumps(Composition((2, 1, 1)), protocol)
+            assert data.count(b"K\x02K\x01K\x01") == 1
+            with pytest.raises(ValueError, match="not weakly monotone"):
+                pickle.loads(data.replace(b"K\x02K\x01K\x01",
+                                          b"K\x02K\x01K\x02"))
         with pytest.raises(AttributeError):
             lam.parts = (3,)
         with pytest.raises(AttributeError):
