@@ -9,7 +9,8 @@ has one Jordan block per row.  The centralizer of e has the basis
 one for each admissible label, i.e. shift(i,j) <= r < lam_j.  This
 module alone knows that window: is_admissible tests a label against it,
 basis_list lists the labels inside it, and every other module asks
-is_admissible or looks the label up in the basis.  Structure constants come from the shifted-Yangian bracket rule
+is_admissible or looks the label up in the basis.  Structure constants
+come from the shifted-Yangian bracket rule
 
     [e[i,j;r], e[k,l;s]] = d_jk e[i,l;r+s] - d_il e[k,j;r+s],
 
@@ -25,15 +26,25 @@ that generate g_e as a Lie algebra and certifies them by the rank of
 their bracket closure.  adjoint_images is the one walk of ad basis
 elements over words of positions, read straight off the table rows, in
 the enveloping and the symmetric algebra alike; the caller supplies
-only how a letter out of place is put back in order.
-annihilator_checks, the centrality check, runs it on the generators
-before every label; invariants.verify_invariant runs it too, as the
-direct invariance walk that the tests hold the sweep's derived
-invariance row to.  determinant_sum is the paper's sum over mu of
-column determinants in the labels e[a,b;mu_b - 1], behind z_r and x_r
-alike; it looks each label up in the basis, so a label outside it stops
-the sum.  LABEL spells a label, for str.format, and structure_constants
-spells each basis label once per composition.
+only how a letter out of place is put back in order.  A word is the
+bytes of its positions, LETTERS[t] the word of the letter t, so
+require_letters stops a lam whose dim g_e exceeds 256 with
+WordLimitError.  annihilator_checks, the centrality check, runs the walk
+on the generators before every label; invariants.verify_invariant runs
+it too, as the direct invariance walk that the tests hold the sweep's
+derived invariance row to.
+
+determinant_sum is the paper's sum over mu of column determinants in
+the labels e[a,b;mu_b - 1], behind z_r and x_r alike; it looks each
+label up in the basis, so a label outside it stops the sum.  The
+determinants share their minors: minor_table(lam, entry), one per entry
+function, kept in composition.state(lam) and dropped with it, maps each
+prefix ((b, mu_b - 1), ...) of the columns of a mu to its minors by row
+set.  determinant_sum extends it one weight at a time, on the prefixes
+and rows that the mu of that weight need, by linalg.extend_minors, so a
+minor is built once for every mu and every r that share its columns
+and rows.  LABEL spells a label, for str.format, and
+structure_constants spells each basis label once per composition.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .composition import Composition, enumerate_mu, per_composition, shift
-from .linalg import (SparseElement, accumulate, column_determinant, echelon_add,
+from .linalg import (SparseElement, accumulate, echelon_add, extend_minors,
                      rational_rank)
 from .reports import Check, Report, residual_check
 
@@ -55,6 +66,31 @@ class BasisIndex(NamedTuple):
 
 
 LABEL = "e[{0.i},{0.j};{0.r}]"
+
+# LETTERS[t] is the one-letter word of basis position t
+LETTERS = tuple(bytes((t,)) for t in range(256))
+
+
+class WordLimitError(Exception):
+    """Raised for a composition with more basis positions than LETTERS."""
+
+
+def dimension(lam: Composition) -> int:
+    """dim g_e from the closed formula: the sum of min(lam_i, lam_j) over
+    all pairs of rows."""
+    return sum(min(p, q) for p in lam.parts for q in lam.parts)
+
+
+def require_letters(lam: Composition) -> None:
+    """Raise WordLimitError unless every basis position of lam is a byte.
+
+    dim g_e is at most N^2, so every lam with N <= 16 passes.
+    """
+    dim = dimension(lam)
+    if dim > len(LETTERS):
+        raise WordLimitError(
+            f"dim g_e = {dim} for lambda={lam} exceeds the limit of "
+            f"{len(LETTERS)} basis positions that a word of bytes can hold")
 
 
 def row_start(lam: Composition, i: int) -> int:
@@ -229,7 +265,7 @@ def adjoint_images(lam: Composition, words: dict, labels, insert):
             for head, tail, c in places:
                 for w, cw in image:
                     if (not head or head[-1] <= w) and (not tail or w <= tail[0]):
-                        word = head + (w,) + tail
+                        word = head + LETTERS[w] + tail
                         out[word] = out.get(word, 0) + c * cw
                     else:
                         for word, cm in insert(head, w, tail).items():
@@ -260,33 +296,90 @@ def annihilator_checks(lam: Composition, words: dict, insert, residual,
     return tuple(Check(name(label), True) for label in names)
 
 
+@per_composition
+def minor_table(lam: Composition, entry) -> dict:
+    """The minors determinant_sum(lam, r, entry) has built, for every r.
+
+    A prefix of columns ((b, s), ...) maps to (rows, minors): minors maps
+    a row set, a bitmask with row a at bit a - 1, to the column
+    determinant of entry(e[a,b;s]) on those rows and the prefix's
+    columns, and holds every such minor with its rows inside the bitmask
+    rows, a cancelled one left out.  A one-column prefix holds the
+    entries of its column, so each entry is built once.  The table
+    starts empty and only determinant_sum extends it.
+    """
+    return {}
+
+
 def determinant_sum(lam: Composition, r: int, entry) -> dict:
     """Terms of the sum over mu in enumerate_mu(lam, r) of the column
     determinant of entry(e[a,b;mu_b - 1]), a and b in the support of mu.
 
-    Many mu share a label, so each label's entry is built once, at its
-    first use in the call, after the label is found in the basis of lam;
-    for a minimal mu every label is there.
+    Every label of every mu is first found in the basis of lam; for a
+    minimal mu each one is there.  The determinants are then read from
+    minor_table(lam, entry), extended first on the prefixes of the
+    columns of each mu, with the rows of every mu of weight r through
+    them, and on each column alone, for its entries.  A minor is so built
+    once for every mu and every r that share its columns and rows, and
+    nothing is built for a weight not asked for.
     """
     basis = structure_constants(lam).index_of
-    entries: dict = {}
-    terms: dict = {}
+    table = minor_table(lam, entry)
+    need: dict = {}  # prefix -> the rows its minors must cover
+    targets = []
     for mu in enumerate_mu(lam, r):
         supp = [b for b, p in enumerate(mu, start=1) if p]
-        labels = [[BasisIndex(a, b, mu[b - 1] - 1) for b in supp]
-                  for a in supp]
-        for row in labels:
-            for x in row:
-                if x in entries:
-                    continue
+        for a in supp:
+            for b in supp:
+                x = BasisIndex(a, b, mu[b - 1] - 1)
                 if x not in basis:
                     raise RuntimeError(
                         "inadmissible column-determinant factor "
                         f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
-                entries[x] = entry(x)
-        det = column_determinant([[entries[x] for x in row] for row in labels])
-        accumulate(terms, det.terms.items())
+        cols = tuple((b, mu[b - 1] - 1) for b in supp)
+        rows = sum(1 << b - 1 for b in supp)
+        for k in range(len(cols)):
+            for prefix in (cols[:k + 1], cols[k:k + 1]):
+                need[prefix] = need.get(prefix, 0) | rows
+        targets.append((cols, rows))
+    # a prefix after the shorter ones it extends
+    for prefix in sorted(need, key=len):
+        _cover(table, prefix, need[prefix], entry)
+    terms: dict = {}
+    for cols, rows in targets:
+        det = table[cols][1].get(rows)
+        if det is not None:  # None: the determinant cancelled
+            accumulate(terms, det.terms.items())
     return terms
+
+
+def _cover(table: dict, prefix: tuple, rows: int, entry) -> None:
+    """Extend table[prefix] of minor_table to the row sets inside rows.
+
+    The prefix one column shorter and the prefix's last column alone
+    must cover rows already.  Only the row sets that the table lacks are
+    built: those that meet a row it did not cover.
+    """
+    covered, minors = table.get(prefix, (0, {}))
+    fresh = rows & ~covered
+    if not fresh:
+        return
+    rows |= covered
+    if len(prefix) == 1:
+        ((b, s),) = prefix
+        for a in range(1, fresh.bit_length() + 1):
+            if fresh >> a - 1 & 1:
+                value = entry(BasisIndex(a, b, s))
+                if value:
+                    minors[1 << a - 1] = value
+    else:
+        entries = table[prefix[-1:]][1]
+        column = [entries.get(1 << i) if rows >> i & 1 else None
+                  for i in range(rows.bit_length())]
+        shorter = {mask: minor for mask, minor in table[prefix[:-1]][1].items()
+                   if not mask & ~rows}
+        minors.update(extend_minors(shorter, column, fresh))
+    table[prefix] = (rows, minors)
 
 
 def verify_centralizer(lam: Composition) -> Report:
@@ -297,9 +390,7 @@ def verify_centralizer(lam: Composition) -> Report:
     e = nilpotent_matrix(lam)
 
     commute = all(m * e == e * m for m in mats)
-    expected_dim = sum(
-        min(p, q) for p in lam.parts for q in lam.parts
-    )
+    expected_dim = dimension(lam)
     rank = rational_rank([m.terms for m in mats])
     dim_ok = len(basis) == expected_dim and rank == expected_dim
 

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 on usage errors, 3 when a verification fails
-or an internal check raises, 4 when memory runs out, 141 (128 + SIGPIPE)
-when the reader of stdout closes it before the output is written.
+or an internal check raises, 4 when memory runs out or, before anything
+is built, when dim g_e exceeds the basis positions a word of bytes holds,
+141 (128 + SIGPIPE) when the reader of stdout closes it before the output
+is written.
 All verification output on stdout is deterministic: no check draws a
 random point, and the same arguments print the same bytes for any --jobs
 and any hash seed.  Timing and error: lines go to stderr; a closed or
@@ -22,7 +24,8 @@ import time
 from contextlib import nullcontext, suppress
 
 from . import enveloping
-from .centralizer import LABEL, basis_list, unit_support, verify_centralizer
+from .centralizer import (LABEL, WordLimitError, basis_list, unit_support,
+                          verify_centralizer)
 from .composition import (MAX_TOTAL, Composition, invariant_degrees, min_length,
                           monotone_compositions)
 from .enveloping import filtration_degree, pbw_to_json_obj, verify_central
@@ -248,6 +251,10 @@ def _slice(lam: Composition, ns) -> tuple:
 
 
 def _qdet(lam: Composition, ns) -> tuple:
+    # the graded image multiplies in the enveloping algebra: building it
+    # first stops a lam whose words cannot hold dim g_e letters at once
+    enveloping.pbw_algebra(lam)
+
     def one(r):
         z = z_polynomial(lam)[r - 1]
         exp = expansion_identity(lam, r)
@@ -337,6 +344,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         _to_stderr(f"error: {exc}")
         return EXIT_VERIFY
+    except WordLimitError as exc:
+        _to_stderr(f"error: {exc}")
+        return EXIT_RESOURCE
     except MemoryError:
         _to_stderr("error: out of memory")
         return EXIT_RESOURCE

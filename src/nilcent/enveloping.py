@@ -13,24 +13,33 @@ centrality check hands the normal form and this insertion to
 centralizer.annihilator_checks, whose walk, centralizer.adjoint_images,
 applies ad e as a derivation and puts each bracket term back in order
 by the insertion.  central_element is centralizer.determinant_sum with
-the shifted generators, tilde, as entries, each summand multiplied in
-column order.  Insertions into unsorted words are memoised per word
+the shifted generators, tilde, as entries, each product taken in column
+order; the minors stay in centralizer.minor_table, so each is built once
+for every weight.  Insertions into unsorted words are memoised per word
 in pbw_algebra(lam), kept with the central elements in the one
 composition.state.  Only the insertions that are read back are stored:
 the rewriting's own recursion and product_sum's prefix steps, which
 recur across r.  The top-level insertions of a product or of the
-centrality walk are not stored.  Words are of basis positions; the
-basis, its index and the bracket rows come from structure_constants,
-which interns them, and all public interfaces speak BasisIndex.
+centrality walk are not stored.
+
+A word is the bytes of its letters' basis positions: b"" is the empty
+word and centralizer.LETTERS holds the one-letter words.  Bytes sort as
+tuples of positions do, so every output is as with tuples, and they
+cache their hash, which every memo and term-map lookup reads.  A
+position must so be below 256; for a lam with a larger dim g_e,
+PbwAlgebra raises centralizer.WordLimitError before it builds anything.
+The basis, its index and the bracket rows come from
+structure_constants, which interns them, and all public interfaces
+speak BasisIndex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .centralizer import (LABEL, BasisIndex, annihilator_checks,
+from .centralizer import (LABEL, LETTERS, BasisIndex, annihilator_checks,
                           determinant_sum, inadmissible_label,
-                          structure_constants)
+                          require_letters, structure_constants)
 from .composition import Composition, per_composition
 from .linalg import SparseElement, accumulate, format_scalar
 from .reports import Report
@@ -40,21 +49,22 @@ class PbwAlgebra:
     """Rewriting memo and bracket table of one lam; get it by pbw_algebra."""
 
     def __init__(self, lam: Composition):
+        require_letters(lam)
         sc = structure_constants(lam)
         self.lam = lam
         self.basis = sc.basis
         self.index_of = sc.index_of
         self.table = sc.table
-        self._nf_memo: dict[tuple, dict] = {}
+        self._nf_memo: dict[bytes, dict] = {}
 
     def scalar(self, c) -> "PbwElement":
-        return PbwElement(self, {(): c} if c else {})
+        return PbwElement(self, {b"": c} if c else {})
 
     def embed(self, idx) -> "PbwElement":
         t = self.index_of.get(BasisIndex(*idx))
         if t is None:
             raise inadmissible_label(self.lam, idx)
-        return PbwElement(self, {(t,): 1})
+        return PbwElement(self, {LETTERS[t]: 1})
 
     def tilde(self, idx) -> "PbwElement":
         """Generator shifted by its diagonal constant.
@@ -70,7 +80,7 @@ class PbwAlgebra:
                 el = el - self.scalar(shift)
         return el
 
-    def _insert(self, head: tuple, z: int, tail: tuple,
+    def _insert(self, head: bytes, z: int, tail: bytes,
                 store: bool = False) -> dict:
         """Normal form of head + (z,) + tail, where head + tail is sorted.
 
@@ -81,7 +91,7 @@ class PbwAlgebra:
         again, so it is not kept.  Returned dicts are shared and must not
         be mutated by callers.
         """
-        word = head + (z,) + tail
+        word = head + LETTERS[z] + tail
         if (not head or head[-1] <= z) and (not tail or z <= tail[0]):
             return {word: 1}
         result = self._nf_memo.get(word)
@@ -95,7 +105,7 @@ class PbwAlgebra:
             p = h + bisect_left(tail, z)
             crossed, sign = range(h, p), 1
         # x z = z x - [z, x] left of z, and z x = x z + [z, x] right of it
-        result = {s[:p] + (z,) + s[p:]: 1}
+        result = {s[:p] + LETTERS[z] + s[p:]: 1}
         row = self.table[z]
         for q in crossed:
             terms = row.get(s[q])
@@ -125,6 +135,9 @@ class PbwElement(SparseElement):
     def _new(self, terms: dict) -> "PbwElement":
         return PbwElement(self.algebra, terms)
 
+    def _scalar(self, c) -> "PbwElement":
+        return self.algebra.scalar(c)
+
     def _coerce(self, other):
         other = super()._coerce(other)
         if other is not None and other.algebra.lam != self.algebra.lam:
@@ -136,11 +149,11 @@ class PbwElement(SparseElement):
         if not m2:
             return ((m1, 1),)
         insert = self.algebra._insert
-        terms = insert(m1, m2[0], ())
+        terms = insert(m1, m2[0], b"")
         for z in m2[1:]:
             out: dict = {}
             for w, c in terms.items():
-                accumulate(out, insert(w, z, ()).items(), c)
+                accumulate(out, insert(w, z, b"").items(), c)
             terms = out
         return terms.items()
 
@@ -167,7 +180,7 @@ def product_sum(lam: Composition, terms: dict) -> PbwElement:
     alg = pbw_algebra(lam)
     insert = alg._insert
     out: dict = {}
-    stack = [{(): 1}]  # stack[d] is the normal form of the first d letters
+    stack = [{b"": 1}]  # stack[d] is the normal form of the first d letters
     prev: tuple = ()
     for word in sorted(terms):
         shared, limit = 0, min(len(prev), len(word))
@@ -180,7 +193,7 @@ def product_sum(lam: Composition, terms: dict) -> PbwElement:
                 raise inadmissible_label(lam, x)
             image: dict = {}
             for w, c in stack[-1].items():
-                accumulate(image, insert(w, z, (), True).items(), c)
+                accumulate(image, insert(w, z, b"", True).items(), c)
             stack.append(image)
         accumulate(out, stack[-1].items(), terms[word])
         prev = word

@@ -3,26 +3,28 @@
 The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  elementary_invariant is centralizer.determinant_sum
-with the labels as commutative variables.  The sweep does not walk x_r:
+with the labels as commutative variables, whose minors stay in a
+centralizer.minor_table of their own.  The sweep does not walk x_r:
 it derives invariance from the centrality of z_r and from
 top_symbol(z_r) = x_r, since the symbol map commutes with ad.
 verify_invariant is the direct reference for that row.  It checks that
 ad of every basis generator, the derivation extending the bracket, kills
 an elementary invariant: it rewrites the monomials as words of basis
-positions and hands them to centralizer.annihilator_checks, whose walk,
-centralizer.adjoint_images, the centrality check also runs, with each
-bracket term sorted into its monomial.  Polynomial supplies ring
-arithmetic only: the slice restriction and the Jacobian read what they
-need off its terms.
+positions, bytes as in the enveloping algebra, and hands them to
+centralizer.annihilator_checks, whose walk, centralizer.adjoint_images,
+the centrality check also runs, with each bracket term sorted into its
+monomial.  Polynomial supplies ring arithmetic only: the slice
+restriction and the Jacobian read what they need off its terms.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_right
 
-from .centralizer import (LABEL, BasisIndex, annihilator_checks,
-                          determinant_sum, structure_constants)
+from .centralizer import (LABEL, LETTERS, BasisIndex, annihilator_checks,
+                          determinant_sum, require_letters,
+                          structure_constants)
 from .composition import Composition, per_composition
 from .enveloping import filtration_degree
 from .linalg import SparseElement, format_scalar
@@ -87,19 +89,21 @@ def elementary_invariant(lam: Composition, r: int) -> Polynomial:
     return Polynomial(determinant_sum(lam, r, Polynomial.variable))
 
 
-def _sorted_insert(head: tuple, v, tail: tuple) -> dict:
-    """The commutative monomial head * v * tail, sorted."""
-    mono = list(head + tail)
-    insort(mono, v)
-    return {tuple(mono): 1}
+def _sorted_insert(head: bytes, v: int, tail: bytes) -> dict:
+    """The commutative monomial head * v * tail, sorted; head + tail is
+    sorted, as adjoint_images passes it."""
+    rest = head + tail
+    p = bisect_right(rest, v)
+    return {rest[:p] + LETTERS[v] + rest[p:]: 1}
 
 
 def verify_invariant(lam: Composition, r: int) -> Report:
     """Adjoint invariance of the degree-d_r symbol, generator by generator."""
+    require_letters(lam)
     p = elementary_invariant(lam, r)
     sc = structure_constants(lam)
     # words of positions sort as the labels do
-    words = {tuple(sc.index_of[v] for v in mono): c
+    words = {bytes(sc.index_of[v] for v in mono): c
              for mono, c in p.terms.items()}
     checks = annihilator_checks(
         lam, words, _sorted_insert,

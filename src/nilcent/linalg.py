@@ -16,8 +16,11 @@ itself.  column_determinant takes SparseElement entries of one ring and
 expands by row subsets, so each minor on the leading columns is built
 once and shared by every completion; its column step, extend_minors,
 widens every minor by one column, filling each wider minor's term map in
-place through _mul_into with the sign as the scale, and a caller that
-shares leading columns between determinants keeps those minors itself.
+place through _mul_into with the sign as the scale.  A caller that
+shares leading columns between determinants keeps those minors itself,
+as centralizer.minor_table and freealg.symbol_minors do; extend_minors
+builds only the wider row sets that meet a given row mask, so a table
+that grows by rows builds each minor once.
 echelon_add is the one elimination: it reads each row as a map from
 column to scalar, so a sparse row costs only its nonzero entries, and it
 reduces fraction-free, so integer rows never become Fractions.
@@ -208,7 +211,7 @@ def column_determinant(matrix):
     return minors.get((1 << n) - 1, rows[0][0] * 0)
 
 
-def extend_minors(minors, column):
+def extend_minors(minors, column, fresh=-1):
     """The column step of column_determinant: minors one column wider.
 
     minors maps a row set R (a bitmask) to the column determinant of those
@@ -219,14 +222,15 @@ def extend_minors(minors, column):
     the sign as the scale, and becomes an element once, at the end.  The
     entry of a row in R is never read and a zero entry is skipped; a
     wider minor that cancels to zero is left out of the result, so it is
-    never extended.
+    never extended.  Only the wider row sets that meet the bitmask fresh
+    are built: a caller that holds the others passes the rows they lack.
     """
     extended: dict = {}
     for mask, minor in minors.items():
         for i, entry in enumerate(column):
-            if mask >> i & 1 or not entry:
-                continue
             key = mask | 1 << i
+            if key == mask or not entry or not key & fresh:
+                continue
             terms = extended.get(key)
             if terms is None:
                 terms = extended[key] = {}

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from nilcent import enveloping, invariants
 from nilcent.centralizer import (
+    LABEL,
     BasisIndex,
     basis_element,
     basis_list,
@@ -20,7 +21,7 @@ from nilcent.centralizer import (
     structure_constants,
     unit_support,
 )
-from nilcent.composition import weight_subcompositions
+from nilcent.composition import enumerate_mu, weight_subcompositions
 from nilcent.enveloping import PbwElement, pbw_algebra
 from nilcent.freealg import FreeElement, t_symbol
 from nilcent.invariants import Polynomial
@@ -167,7 +168,7 @@ def invariant_report_all_labels(lam, r) -> Report:
     return Report(f"invariance lambda={lam} r={r}", checks)
 
 
-def transposition_normal_form(alg, word: tuple) -> dict:
+def transposition_normal_form(alg, word: bytes) -> dict:
     """PBW normal form of a word of interned labels, one transposition at a time.
 
     The first out-of-order pair x*y rewrites to y*x + [x, y], with the
@@ -180,11 +181,40 @@ def transposition_normal_form(alg, word: tuple) -> dict:
         return {word: 1}
     x, y = word[pos], word[pos + 1]
     head, tail = word[:pos], word[pos + 2:]
-    result = dict(transposition_normal_form(alg, head + (y, x) + tail))
+    result = dict(transposition_normal_form(alg, head + bytes((y, x)) + tail))
     for z, c in bracket(alg.lam, alg.basis[x], alg.basis[y]):
         accumulate(result, transposition_normal_form(
-            alg, head + (alg.index_of[z],) + tail).items(), c)
+            alg, head + bytes((alg.index_of[z],)) + tail).items(), c)
     return result
+
+
+def determinant_sum_per_mu(lam, r, entry) -> dict:
+    """centralizer.determinant_sum as the paper writes it: one
+    column_determinant per mu, each on its own.  The reference for the
+    minors the package shares across every mu and r.
+
+    Many mu share a label, so each label's entry is built once, at its
+    first use in the call, after the label is found in the basis of lam.
+    """
+    basis = structure_constants(lam).index_of
+    entries: dict = {}
+    terms: dict = {}
+    for mu in enumerate_mu(lam, r):
+        supp = [b for b, p in enumerate(mu, start=1) if p]
+        labels = [[BasisIndex(a, b, mu[b - 1] - 1) for b in supp]
+                  for a in supp]
+        for row in labels:
+            for x in row:
+                if x in entries:
+                    continue
+                if x not in basis:
+                    raise RuntimeError(
+                        "inadmissible column-determinant factor "
+                        f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
+                entries[x] = entry(x)
+        det = column_determinant([[entries[x] for x in row] for row in labels])
+        accumulate(terms, det.terms.items())
+    return terms
 
 
 def transposition_product(a, b) -> PbwElement:

@@ -263,7 +263,7 @@ class TestAdjointImages:
         e[2,1;0], e[2,2;0] and e[2,2;1]; the last is central.
         """
         lam = Composition((1, 2))
-        words = {(1, 3): 2, (2,): 5, (1, 2): 3}
+        words = {b"\1\3": 2, b"\2": 5, b"\1\2": 3}
         inserted, looked_up = [], []
 
         class RecordingRow(dict):
@@ -278,16 +278,16 @@ class TestAdjointImages:
 
         def insert(head, w, tail):
             inserted.append((head, w, tail))
-            return {tuple(sorted(head + (w,) + tail)): 1}
+            return {bytes(sorted(head + bytes((w,)) + tail)): 1}
 
         basis = basis_list(lam)
         assert list(adjoint_images(lam, words, [2, 4, 1, 0], insert)) == [
-            (basis[2], {(3, 4): 2, (2, 4): 3, (1, 2): -2}),
+            (basis[2], {b"\3\4": 2, b"\2\4": 3, b"\1\2": -2}),
             (basis[4], {}),
-            (basis[1], {(1, 1): 2, (4,): -5, (1, 4): -3}),
-            (basis[0], {(1, 3): 2, (2,): -5}),
+            (basis[1], {b"\1\1": 2, b"\4": -5, b"\1\4": -3}),
+            (basis[0], {b"\1\3": 2, b"\2": -5}),
         ]
-        assert inserted == [((), 4, (3,)), ((), 4, (2,))]
+        assert inserted == [(b"", 4, b"\3"), (b"", 4, b"\2")]
         assert sorted(looked_up) == [1] * 4 + [2] * 4 + [3] * 4
 
 

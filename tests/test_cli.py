@@ -511,6 +511,37 @@ class TestUsageErrors:
         assert rc == getattr(cli, code)
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["central", "verify", "qdet"])
+    def test_more_basis_positions_than_bytes_exit_code(self, capsys, command):
+        """1^17 has dim g_e = 289, past the 256 positions that a word of
+        bytes holds: a subcommand that builds words exits 4 before it
+        builds anything."""
+        lam = Composition((1,) * 17)
+        composition.state.cache_clear()
+        try:
+            rc, out, err = run(capsys, command, "--lambda", str(lam), "--r", "1")
+            assert composition.state(lam) == {}
+        finally:
+            composition.state.cache_clear()
+        assert rc == cli.EXIT_RESOURCE and out == ""
+        assert err == (f"error: dim g_e = 289 for lambda={lam} exceeds the "
+                       "limit of 256 basis positions that a word of bytes "
+                       "can hold\n")
+
+    @pytest.mark.parametrize("command", ["degrees", "basis"])
+    def test_more_basis_positions_than_bytes_without_words(self, capsys,
+                                                           command):
+        rc, out, _ = run(capsys, command, "--lambda", ",".join("1" * 17))
+        assert rc == cli.EXIT_OK and out
+
+    def test_as_many_basis_positions_as_bytes(self, capsys):
+        """1^16 has dim g_e = 256, so every position is a byte."""
+        rc, out, _ = run(capsys, "central", "--lambda", ",".join("1" * 16),
+                         "--r", "1")
+        assert rc == cli.EXIT_OK
+        assert out.startswith("z_1 = e[1,1;0] + e[2,2;0] + ")
+        assert out.endswith(" - 120\n")
+
     @staticmethod
     def run_with_non_minimal_mu(capsys, monkeypatch, command):
         """Run command on 1,2 with the non-minimal mu = (1,1) planted at

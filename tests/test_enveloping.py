@@ -13,6 +13,7 @@ from nilcent.centralizer import (
     adjoint_images,
     basis_list,
     determinant_sum,
+    minor_table,
     structure_constants,
 )
 from nilcent.composition import (Composition, enumerate_mu, invariant_degrees,
@@ -28,11 +29,13 @@ from nilcent.enveloping import (
 )
 from nilcent.freealg import loop_weight, z_polynomial
 from nilcent.invariants import Polynomial
+from nilcent.linalg import SparseElement
 
 from conftest import compositions, embed, pbw_elements
 from oracles import (
     bracket,
     central_report_all_labels,
+    determinant_sum_per_mu,
     transposition_normal_form,
     transposition_product,
 )
@@ -145,7 +148,7 @@ class TestInsertion:
         """Generators multiplied in any order straighten as by transposition."""
         alg = pbw_algebra(lam)
         word = data.draw(st.lists(st.integers(0, len(alg.basis) - 1),
-                                  max_size=5).map(tuple))
+                                  max_size=5).map(bytes))
         got = math.prod((alg.embed(alg.basis[t]) for t in word), start=alg.scalar(1))
         assert got.terms == transposition_normal_form(alg, word)
 
@@ -156,12 +159,12 @@ class TestInsertion:
         or right, straightens as by transposition."""
         alg = pbw_algebra(lam)
         letter = st.integers(0, len(alg.basis) - 1)
-        s = tuple(sorted(data.draw(st.lists(letter, max_size=5))))
+        s = bytes(sorted(data.draw(st.lists(letter, max_size=5))))
         h = data.draw(st.integers(0, len(s)))
         z = data.draw(letter)
         head, tail = s[:h], s[h:]
         assert alg._insert(head, z, tail) == transposition_normal_form(
-            alg, head + (z,) + tail)
+            alg, head + bytes((z,)) + tail)
 
 
 def word_sums(lam):
@@ -234,10 +237,10 @@ class TestMemoPolicy:
         composition.state.cache_clear()
         alg = pbw_algebra(lam)
         ix = alg.index_of
-        head = (ix[BasisIndex(2, 1, 0)],) * 2 + (ix[BasisIndex(2, 2, 0)],)
+        head = bytes((ix[BasisIndex(2, 1, 0)],) * 2 + (ix[BasisIndex(2, 2, 0)],))
         z = ix[BasisIndex(1, 2, 0)]
-        word = head + (z,)
-        assert alg._insert(head, z, ()) == transposition_normal_form(alg, word)
+        word = head + bytes((z,))
+        assert alg._insert(head, z, b"") == transposition_normal_form(alg, word)
         assert word not in alg._nf_memo
         assert alg._nf_memo
         assert all(len(w) < len(word) for w in alg._nf_memo)
@@ -249,7 +252,7 @@ class TestMemoPolicy:
         alg = pbw_algebra(lam)
         alg._nf_memo.clear()
         letter = st.integers(0, len(alg.basis) - 1)
-        s = tuple(sorted(data.draw(st.lists(letter, max_size=5))))
+        s = bytes(sorted(data.draw(st.lists(letter, max_size=5))))
         h = data.draw(st.integers(0, len(s)))
         alg._insert(s[:h], data.draw(letter), s[h:])
         assert all(len(w) <= len(s) for w in alg._nf_memo)
@@ -403,6 +406,88 @@ class TestCdet:
             determinant_sum(lam, r, pbw_algebra(lam).tilde)
             determinant_sum(lam, r, Polynomial.variable)
         assert checked == []
+
+
+class TestMinorTable:
+    """determinant_sum reads its determinants from minor_table, which
+    shares each minor across every mu and every r."""
+
+    @pytest.mark.parametrize("total", range(1, 8))
+    def test_matches_one_determinant_per_mu(self, total):
+        """z_r's and x_r's terms equal the sum of one column determinant
+        per mu, for every monotone lam with N <= 7 and every r.  The z_r
+        are asked for by ascending r and the x_r by descending r, so the
+        table grows both ways."""
+        for lam in monotone_compositions(total):
+            composition.state.cache_clear()
+            alg = pbw_algebra(lam)
+            weights = range(1, lam.N + 1)
+            for entry, order in ((alg.tilde, weights),
+                                 (Polynomial.variable, reversed(weights))):
+                for r in order:
+                    assert (determinant_sum(lam, r, entry)
+                            == determinant_sum_per_mu(lam, r, entry)), (lam, r)
+        composition.state.cache_clear()
+
+    def test_builds_only_the_weight_asked_for(self):
+        """z_2 of 1^12 builds minors on no more than d_2 = 2 columns."""
+        lam = Composition((1,) * 12)
+        composition.state.cache_clear()
+        try:
+            central_element(lam, 2)
+            table = minor_table(lam, pbw_algebra(lam).tilde)
+            assert invariant_degrees(lam)[1] == 2
+            assert max(map(len, table)) == 2
+        finally:
+            composition.state.cache_clear()
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 2, 2), (2, 1, 1, 1)])
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_each_product_taken_once(self, monkeypatch, parts, descending):
+        """Over every r, in either order, each prefix of columns takes the
+        product of a minor one column shorter by the entry of a row
+        outside it once, and only on the rows that it covers."""
+        lam = Composition(parts)
+        products = []
+        real = SparseElement._mul_into
+
+        def counted(self, out, other, scale):
+            products.append(other)
+            return real(self, out, other, scale)
+
+        monkeypatch.setattr(SparseElement, "_mul_into", counted)
+        composition.state.cache_clear()
+        weights = range(1, lam.N + 1)
+        for r in reversed(weights) if descending else weights:
+            determinant_sum(lam, r, Polynomial.variable)
+        table = minor_table(lam, Polynomial.variable)
+        composition.state.cache_clear()
+        assert len(products) == sum(
+            1 for prefix, (rows, _) in table.items() if len(prefix) > 1
+            for mask in table[prefix[:-1]][1] if not mask & ~rows
+            for i in range(rows.bit_length()) if (rows & ~mask) >> i & 1)
+
+    def test_a_weight_asked_again_builds_nothing(self):
+        """A second pass over every r calls no entry and leaves every
+        minor of the table as it was."""
+        lam = Composition((1, 2, 2))
+        alg = pbw_algebra(lam)
+        calls = []
+
+        def entry(x):
+            calls.append(x)
+            return alg.tilde(x)
+
+        weights = range(1, lam.N + 1)
+        first = [determinant_sum(lam, r, entry) for r in weights]
+        table = minor_table(lam, entry)
+        before = {p: dict(minors) for p, (_, minors) in table.items()}
+        built = len(calls)
+        assert [determinant_sum(lam, r, entry) for r in weights] == first
+        assert len(calls) == built
+        assert {p: dict(minors) for p, (_, minors) in table.items()} == before
+        assert all(table[p][1][mask] is minor for p, minors in before.items()
+                   for mask, minor in minors.items())
 
 
 class TestCentralElements:

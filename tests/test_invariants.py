@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcent import invariants
-from nilcent.centralizer import BasisIndex, adjoint_images, basis_list, structure_constants
+from nilcent.centralizer import (BasisIndex, WordLimitError, adjoint_images,
+                                 basis_list, structure_constants)
 from nilcent.composition import Composition, invariant_degrees, monotone_compositions
 from nilcent.enveloping import central_element, pbw_algebra
 from nilcent.invariants import (
@@ -188,7 +189,7 @@ class TestAdjointAction:
         lam = data.draw(compositions())
         p = data.draw(polynomials(lam, max_degree=3))
         sc = structure_constants(lam)
-        words = {tuple(sc.index_of[v] for v in mono): c
+        words = {bytes(sc.index_of[v] for v in mono): c
                  for mono, c in p.terms.items()}
         images = adjoint_images(lam, words, range(len(sc.basis)),
                                 invariants._sorted_insert)
@@ -196,6 +197,11 @@ class TestAdjointAction:
             q = Polynomial({tuple(sc.basis[t] for t in w): c
                             for w, c in terms.items()})
             assert q == adjoint_action(lam, x, p)
+
+    def test_walk_needs_a_byte_per_position(self):
+        """1^17 has dim g_e = 289 > 256: the walk stops before its words."""
+        with pytest.raises(WordLimitError, match="dim g_e = 289"):
+            verify_invariant(Composition((1,) * 17), 1)
 
     def test_verify_invariant_small(self):
         for lam in (LAM12, LAM11, Composition((3,)), Composition((2, 2))):
