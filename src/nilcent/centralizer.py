@@ -37,13 +37,12 @@ derived invariance row to.
 determinant_sum is the paper's sum over mu of column determinants in
 the labels e[a,b;mu_b - 1], behind z_r and x_r alike; it looks each
 label up in the basis, so a label outside it stops the sum.  The
-determinants share their minors: minor_table(lam, entry), one per entry
-function, kept in composition.state(lam) and dropped with it, maps each
-prefix ((b, mu_b - 1), ...) of the columns of a mu to its minors by row
-set.  determinant_sum extends it one weight at a time, on the prefixes
-and rows that the mu of that weight need, by linalg.extend_minors, so a
-minor is built once for every mu and every r that share its columns
-and rows.  LABEL spells a label, for str.format, and
+determinants share their minors: each is linalg.column_minor on the
+columns ((b, mu_b - 1), ...) and the rows of the support of mu, in the
+memo minor_table(lam, entry), one per entry function, kept in
+composition.state(lam) and dropped with it.  A minor is so built once
+for every mu and every r that share its columns and rows, and only when
+a weight asks for it.  LABEL spells a label, for str.format, and
 structure_constants spells each basis label once per composition.
 """
 
@@ -52,7 +51,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .composition import Composition, enumerate_mu, per_composition, shift
-from .linalg import (SparseElement, accumulate, echelon_add, extend_minors,
+from .linalg import (SparseElement, accumulate, column_minor, echelon_add,
                      rational_rank)
 from .reports import Check, Report, residual_check
 
@@ -298,16 +297,8 @@ def annihilator_checks(lam: Composition, words: dict, insert, residual,
 
 @per_composition
 def minor_table(lam: Composition, entry) -> dict:
-    """The minors determinant_sum(lam, r, entry) has built, for every r.
-
-    A prefix of columns ((b, s), ...) maps to (rows, minors): minors maps
-    a row set, a bitmask with row a at bit a - 1, to the column
-    determinant of entry(e[a,b;s]) on those rows and the prefix's
-    columns, and holds every such minor with its rows inside the bitmask
-    rows, a cancelled one left out.  A one-column prefix holds the
-    entries of its column, so each entry is built once.  The table
-    starts empty and only determinant_sum extends it.
-    """
+    """The linalg.column_minor memo of entry for lam, one per entry
+    function; it starts empty and grows with every determinant read."""
     return {}
 
 
@@ -315,18 +306,21 @@ def determinant_sum(lam: Composition, r: int, entry) -> dict:
     """Terms of the sum over mu in enumerate_mu(lam, r) of the column
     determinant of entry(e[a,b;mu_b - 1]), a and b in the support of mu.
 
-    Every label of every mu is first found in the basis of lam; for a
-    minimal mu each one is there.  The determinants are then read from
-    minor_table(lam, entry), extended first on the prefixes of the
-    columns of each mu, with the rows of every mu of weight r through
-    them, and on each column alone, for its entries.  A minor is so built
-    once for every mu and every r that share its columns and rows, and
-    nothing is built for a weight not asked for.
+    Each label of a mu is found in the basis of lam before its
+    determinant is read; for a minimal mu each one is there.  The
+    determinant is the column_minor of the columns ((b, mu_b - 1), ...)
+    on the rows of the support, row a at bit a - 1, in
+    minor_table(lam, entry).  A minor is so built once for every mu and
+    every r that share its columns and rows, and nothing is built for a
+    weight not asked for.
     """
     basis = structure_constants(lam).index_of
     table = minor_table(lam, entry)
-    need: dict = {}  # prefix -> the rows its minors must cover
-    targets = []
+
+    def label_entry(i, col):
+        return entry(BasisIndex(i + 1, *col))
+
+    terms: dict = {}
     for mu in enumerate_mu(lam, r):
         supp = [b for b, p in enumerate(mu, start=1) if p]
         for a in supp:
@@ -338,58 +332,24 @@ def determinant_sum(lam: Composition, r: int, entry) -> dict:
                         f"{LABEL.format(x)} for mu={','.join(map(str, mu))}")
         cols = tuple((b, mu[b - 1] - 1) for b in supp)
         rows = sum(1 << b - 1 for b in supp)
-        for k in range(len(cols)):
-            for prefix in (cols[:k + 1], cols[k:k + 1]):
-                need[prefix] = need.get(prefix, 0) | rows
-        targets.append((cols, rows))
-    # a prefix after the shorter ones it extends
-    for prefix in sorted(need, key=len):
-        _cover(table, prefix, need[prefix], entry)
-    terms: dict = {}
-    for cols, rows in targets:
-        det = table[cols][1].get(rows)
+        det = column_minor(table, label_entry, cols, rows)
         if det is not None:  # None: the determinant cancelled
             accumulate(terms, det.terms.items())
     return terms
 
 
-def _cover(table: dict, prefix: tuple, rows: int, entry) -> None:
-    """Extend table[prefix] of minor_table to the row sets inside rows.
-
-    The prefix one column shorter and the prefix's last column alone
-    must cover rows already.  Only the row sets that the table lacks are
-    built: those that meet a row it did not cover.
-    """
-    covered, minors = table.get(prefix, (0, {}))
-    fresh = rows & ~covered
-    if not fresh:
-        return
-    rows |= covered
-    if len(prefix) == 1:
-        ((b, s),) = prefix
-        for a in range(1, fresh.bit_length() + 1):
-            if fresh >> a - 1 & 1:
-                value = entry(BasisIndex(a, b, s))
-                if value:
-                    minors[1 << a - 1] = value
-    else:
-        entries = table[prefix[-1:]][1]
-        column = [entries.get(1 << i) if rows >> i & 1 else None
-                  for i in range(rows.bit_length())]
-        shorter = {mask: minor for mask, minor in table[prefix[:-1]][1].items()
-                   if not mask & ~rows}
-        minors.update(extend_minors(shorter, column, fresh))
-    table[prefix] = (rows, minors)
-
-
 def verify_centralizer(lam: Composition) -> Report:
-    """Commutation with the nilpotent, dimension count, bracket grading."""
+    """Commutation with the nilpotent, dimension count, bracket grading.
+
+    A failed row names a witness: the first basis label whose matrix
+    does not commute with e, or the first misgraded bracket term.
+    """
     sc = structure_constants(lam)
     basis = sc.basis
     mats = [basis_element(lam, idx) for idx in basis]
     e = nilpotent_matrix(lam)
 
-    commute = all(m * e == e * m for m in mats)
+    witness = next((x for x, m in zip(basis, mats) if m * e != e * m), None)
     expected_dim = dimension(lam)
     rank = rational_rank([m.terms for m in mats])
     dim_ok = len(basis) == expected_dim and rank == expected_dim
@@ -401,7 +361,9 @@ def verify_centralizer(lam: Composition) -> Report:
         for z, _ in terms if basis[z].r != x.r + basis[b].r), None)
 
     checks = (
-        Check("commutes_with_nilpotent", commute,
+        Check("commutes_with_nilpotent", witness is None,
+              f"{label(witness)} does not commute with the Jordan nilpotent"
+              if witness else
               f"{len(basis)} basis matrices against the Jordan nilpotent"),
         Check("dimension", dim_ok,
               f"count {len(basis)}, rank {rank}, expected {expected_dim}"),

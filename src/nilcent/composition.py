@@ -13,8 +13,8 @@ alone, by one recursive walk over the remaining parts, weight and room;
 centralizer.determinant_sum walks the minimal ones.  state(lam) is the
 one cache: every builder under per_composition writes its result for lam
 there once, and only the rewriting memo that the PbwAlgebra there owns
-and the minors of centralizer.minor_table grow after; all of it goes
-when another composition is asked for.
+and the linalg.column_minor memos, centralizer.minor_table, grow after;
+all of it goes when another composition is asked for.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ centralizer.annihilator_checks, whose walk, centralizer.adjoint_images,
 applies ad e as a derivation and puts each bracket term back in order
 by the insertion.  central_element is centralizer.determinant_sum with
 the shifted generators, tilde, as entries, each product taken in column
-order; the minors stay in centralizer.minor_table, so each is built once
-for every weight.  Insertions into unsorted words are memoised per word
+order; its linalg.column_minor memo, centralizer.minor_table, keeps
+every minor, so each is built once for every weight.  Insertions into unsorted words are memoised per word
 in pbw_algebra(lam), kept with the central elements in the one
 composition.state.  Only the insertions that are read back are stored:
 the rewriting's own recursion and product_sum's prefix steps, which

@@ -11,9 +11,10 @@ central generators; its monomials are pairs (k, word) for u^k * word, so
 z_polynomial groups them by k in one pass.  expansion_identity checks
 Z_r against its binomial expansion, which sums weighted n x n symbol
 determinants with superscripts nu; the weights of each nu are summed
-first, and symbol_minors keeps the minors of every prefix of nu for the
-composition, so each column step is taken once and shared by every nu
-and every r that extends that prefix.  The check never reads
+first, and each determinant is linalg.column_minor in one memo for the
+composition, centralizer.minor_table(lam, t_symbol), so each minor on a
+prefix of nu is built once and shared by every nu and every r that
+extends that prefix.  The check never reads
 z_polynomial's u-expansion.  verify_graded_image checks that loop_weight
 is bounded on the words of Z_r and that substituting centralizer
 generators for the letters sends the top-weight part onto the central
@@ -28,7 +29,7 @@ import itertools
 from math import comb
 from typing import NamedTuple
 
-from .centralizer import BasisIndex, is_admissible
+from .centralizer import BasisIndex, is_admissible, minor_table
 from .composition import (
     Composition,
     invariant_degrees,
@@ -38,7 +39,8 @@ from .composition import (
     weight_subcompositions,
 )
 from .enveloping import central_element, product_sum
-from .linalg import SparseElement, accumulate, column_determinant, extend_minors
+from .linalg import (SparseElement, accumulate, column_determinant,
+                     column_minor)
 from .reports import Check, Report, residual_check
 
 
@@ -149,22 +151,6 @@ def z_polynomial(lam: Composition) -> tuple[FreeElement, ...]:
     return tuple(FreeElement(lower[N - r]) for r in range(1, N + 1))
 
 
-@per_composition
-def symbol_minors(lam: Composition, nu: tuple[int, ...]) -> dict:
-    """Minors of the symbol matrix on its first len(nu) columns.
-
-    Column j holds the symbols T[i,j;nu_j]; the result maps a row set (a
-    bitmask) to its column determinant, as in linalg.extend_minors.  Each
-    prefix of nu is kept for lam, so a shorter nu's minors are built once
-    and extended by every nu that starts with it.
-    """
-    if not nu:
-        return {0: FreeElement({(): 1})}
-    j = len(nu)
-    column = [t_symbol(lam, i, j, nu[-1]) for i in range(1, lam.n + 1)]
-    return extend_minors(symbol_minors(lam, nu[:-1]), column)
-
-
 def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     """Direct expansion of Z_r as a sum of minor determinants.
 
@@ -173,9 +159,11 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     superscripts nu by
         prod_i (1 - i)^(mu_i - nu_i) * binom(lam_i - nu_i, lam_i - mu_i).
     The determinant depends on nu alone, so the weights are first summed
-    over mu, and each determinant is read from symbol_minors, which
-    shares the minors of a common prefix across every nu and every r.
-    Identically vanishing symbol words are dropped by the window rule.
+    over mu, and each determinant is the column_minor of the columns
+    ((j, nu_j), ...) on every row, in centralizer.minor_table(lam,
+    t_symbol), which shares the minors of a common prefix across every
+    nu and every r.  Identically vanishing symbol words are dropped by the
+    window rule.
     """
     require_increasing(lam, "the symbol expansion")
     require_weight(lam, r)
@@ -194,9 +182,14 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     # nu_1 = mu_1 and nu <= mu <= lam, so every weight is a nonzero integer
     # of sign (-1)^(r - |nu|): the totals over mu never cancel
     full = (1 << n) - 1
+    table = minor_table(lam, t_symbol)
+
+    def symbol(i, col):
+        return t_symbol(lam, i + 1, *col)
+
     terms: dict = {}
     for nu, weight in weights.items():
-        det = symbol_minors(lam, nu).get(full)
+        det = column_minor(table, symbol, tuple(enumerate(nu, start=1)), full)
         if det is not None:  # None: the determinant cancelled
             accumulate(terms, det.terms.items(), weight)
     return FreeElement(terms)

@@ -4,7 +4,7 @@ The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  elementary_invariant is centralizer.determinant_sum
 with the labels as commutative variables, whose minors stay in a
-centralizer.minor_table of their own.  The sweep does not walk x_r:
+linalg.column_minor memo of their own, centralizer.minor_table.  The sweep does not walk x_r:
 it derives invariance from the centrality of z_r and from
 top_symbol(z_r) = x_r, since the symbol map commutes with ad.
 verify_invariant is the direct reference for that row.  It checks that

@@ -12,15 +12,15 @@ every product through _mul_into, the one multiply-accumulate, which adds
 scale * a * b into a term map with accumulate's update inlined.  A caller
 that needs more than ring arithmetic, such as a coefficient of u, a
 derivative at a point or the adjoint action, reads it off the terms
-itself.  column_determinant takes SparseElement entries of one ring and
-expands by row subsets, so each minor on the leading columns is built
-once and shared by every completion; its column step, extend_minors,
-widens every minor by one column, filling each wider minor's term map in
-place through _mul_into with the sign as the scale.  A caller that
-shares leading columns between determinants keeps those minors itself,
-as centralizer.minor_table and freealg.symbol_minors do; extend_minors
-builds only the wider row sets that meet a given row mask, so a table
-that grows by rows builds each minor once.
+itself.  column_minor is the one column determinant: it builds the
+minor of SparseElement entries of one ring on a tuple of columns and a
+row bitmask by expansion along its last column, filling the term map in
+place through _mul_into with the sign as the scale, and keeps every
+minor in a memo that the caller owns under (cols, rows), a zero one as
+None.  Determinants that share leading columns so share their minors:
+column_determinant gives each matrix a memo of its own, and
+centralizer.minor_table keeps one per composition and entry function,
+for determinant_sum and for freealg.binomial_z_expansion.
 echelon_add is the one elimination: it reads each row as a map from
 column to scalar, so a sparse row costs only its nonzero entries, and it
 reduces fraction-free, so integer rows never become Fractions.
@@ -197,48 +197,57 @@ def column_determinant(matrix):
     """Sum over permutations p of sign(p) * m[p0][0] * m[p1][1] * ... .
 
     Factors multiply in column order, so entries may come from a
-    noncommutative ring; they are SparseElements of one ring.  The first
-    column gives the one-row minors, and extend_minors then takes them
-    across each further column in turn.
+    noncommutative ring; they are SparseElements of one ring.  This is
+    column_minor on every row and column, with a memo of its own.
     """
     rows = [list(row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("column determinant needs a nonempty square matrix")
-    minors = {1 << i: row[0] for i, row in enumerate(rows) if row[0]}
-    for col in range(1, n):
-        minors = extend_minors(minors, [row[col] for row in rows])
-    return minors.get((1 << n) - 1, rows[0][0] * 0)
+    det = column_minor({}, lambda i, col: rows[i][col], tuple(range(n)),
+                       (1 << n) - 1)
+    return rows[0][0] * 0 if det is None else det
 
 
-def extend_minors(minors, column, fresh=-1):
-    """The column step of column_determinant: minors one column wider.
+def column_minor(memo, entry, cols, rows):
+    """The column determinant of entry(i, col) on the rows i of the
+    bitmask rows and the columns cols, a tuple with one column per row;
+    None when it is zero.
 
-    minors maps a row set R (a bitmask) to the column determinant of those
-    rows and the first |R| columns; column is the next column, one entry
-    per row.  Each minor is extended by every row i outside R:
-        F(R | {i}) += (-1)^#{j in R : j > i} * F(R) * column[i].
-    Each wider minor is one term map that every product adds into, with
-    the sign as the scale, and becomes an element once, at the end.  The
-    entry of a row in R is never read and a zero entry is skipped; a
-    wider minor that cancels to zero is left out of the result, so it is
-    never extended.  Only the wider row sets that meet the bitmask fresh
-    are built: a caller that holds the others passes the rows they lack.
+    The minor is expanded along its last column:
+        F(cols, R) = sum over i in R of (-1)^#{j in R : j > i}
+                     * F(cols[:-1], R - {i}) * F(cols[-1:], {i}),
+    each product added into one term map through _mul_into, with the sign
+    as the scale.  memo keeps every minor under (cols, rows): a one-column
+    minor is an entry, and a zero minor is None.  So each minor is built
+    once for all the callers that share memo, and a cancelled one is never
+    extended.  Entry i is read before the minor without row i, so a zero
+    entry prunes that branch, and no entry of a row outside R is read.
     """
-    extended: dict = {}
-    for mask, minor in minors.items():
-        for i, entry in enumerate(column):
-            key = mask | 1 << i
-            if key == mask or not entry or not key & fresh:
-                continue
-            terms = extended.get(key)
-            if terms is None:
-                terms = extended[key] = {}
-            sign = -1 if (mask >> i).bit_count() & 1 else 1
-            minor._mul_into(terms, entry, sign)
-    # every minor lies in one ring, so any of them makes the elements
-    return {mask: minor._new(terms)
-            for mask, terms in extended.items() if terms}
+    key = (cols, rows)
+    if key in memo:
+        return memo[key]
+    if len(cols) == 1:
+        memo[key] = minor = entry(rows.bit_length() - 1, cols[0]) or None
+        return minor
+    shorter, last = cols[:-1], cols[-1:]
+    terms: dict = {}
+    made = None
+    sign = 1 if len(cols) & 1 else -1  # the lowest row has |R| - 1 above it
+    rest = rows
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = column_minor(memo, entry, last, low)
+        if x is not None:
+            sub = column_minor(memo, entry, shorter, rows ^ low)
+            if sub is not None:
+                sub._mul_into(terms, x, sign)
+                made = sub
+        sign = -sign
+    # every minor lies in one ring, so any of them makes the element
+    memo[key] = minor = made._new(terms) if terms else None
+    return minor
 
 
 def echelon_add(pivots: dict, row: dict) -> bool:

@@ -217,6 +217,16 @@ def determinant_sum_per_mu(lam, r, entry) -> dict:
     return terms
 
 
+def memo_products(memo) -> int:
+    """The products linalg.column_minor takes to build each minor of memo
+    once: one per row i of a minor on two or more columns whose entry in
+    row i and whose minor without row i are both nonzero."""
+    return sum(1 for cols, rows in memo if len(cols) > 1
+               for i in range(rows.bit_length()) if rows >> i & 1
+               and memo[cols[-1:], 1 << i] is not None
+               and memo.get((cols[:-1], rows ^ 1 << i)) is not None)
+
+
 def transposition_product(a, b) -> PbwElement:
     """a * b with every product of words straightened by transposition."""
     alg = a.algebra
@@ -313,7 +323,7 @@ def binomial_z_expansion_by_pairs(lam, r: int) -> FreeElement:
 
     The reference for freealg.binomial_z_expansion, which sums the
     weights of each nu first and reads its determinant off the minors
-    that freealg.symbol_minors shares between nu with a common prefix.
+    that centralizer.minor_table shares between nu with a common prefix.
     Here every pair builds its own determinant: sums over subcompositions
     mu of weight r and componentwise nu <= mu with nu_1 = mu_1, with
     weight

@@ -152,6 +152,20 @@ class TestBasisElements:
         assert rep.ok and "count 23" in rep.checks[1].detail
         assert rep.checks[2].detail == "every bracket term has degree r + s"
 
+    def test_last_label_off_the_centralizer_is_named(self, monkeypatch):
+        """A fault in the last basis matrix alone fails commutation, and
+        the row names that label."""
+        lam = Composition((2, 3))
+        last = basis_list(lam)[-1]
+        real = centralizer.basis_element
+        monkeypatch.setattr(centralizer, "basis_element", lambda lam, idx: (
+            real(lam, idx) + unit_matrix([[1]]) if idx == last
+            else real(lam, idx)))
+        rep = verify_centralizer(lam)
+        assert [c.name for c in rep.failures()] == ["commutes_with_nilpotent"]
+        assert rep.checks[0].detail == (
+            "e[2,2;2] does not commute with the Jordan nilpotent")
+
     def test_misgraded_bracket_names_a_witness(self, monkeypatch):
         lam = Composition((1, 2))
         sc = structure_constants(lam)
@@ -362,13 +376,18 @@ class TestLieGenerators:
 
     def test_rank_short_of_dim_raises(self, monkeypatch):
         """The rank, not the walk, certifies S: a reducer that finds every
-        row in the span keeps no pivot and leaves rank 0."""
+        row in the span once it holds kept pivots leaves rank kept, be it
+        0 or dim - 1, where it refuses only the row of the last pivot."""
         lam = Composition((2, 3))
-        monkeypatch.setattr(centralizer, "echelon_add", lambda pivots, row: False)
-        composition.state.cache_clear()
+        real = centralizer.echelon_add
         try:
-            with pytest.raises(RuntimeError, match="rank 0 of 9"):
-                lie_generators(lam)
+            for kept in (0, 8):
+                monkeypatch.setattr(
+                    centralizer, "echelon_add", lambda pivots, row: (
+                        len(pivots) < kept and real(pivots, row)))
+                composition.state.cache_clear()
+                with pytest.raises(RuntimeError, match=f"rank {kept} of 9"):
+                    lie_generators(lam)
         finally:
             composition.state.cache_clear()
 

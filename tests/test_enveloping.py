@@ -36,6 +36,7 @@ from oracles import (
     bracket,
     central_report_all_labels,
     determinant_sum_per_mu,
+    memo_products,
     transposition_normal_form,
     transposition_product,
 )
@@ -437,16 +438,16 @@ class TestMinorTable:
             central_element(lam, 2)
             table = minor_table(lam, pbw_algebra(lam).tilde)
             assert invariant_degrees(lam)[1] == 2
-            assert max(map(len, table)) == 2
+            assert max(len(cols) for cols, _ in table) == 2
         finally:
             composition.state.cache_clear()
 
     @pytest.mark.parametrize("parts", [(1, 1, 1, 1, 1), (1, 2, 2), (2, 1, 1, 1)])
     @pytest.mark.parametrize("descending", [False, True])
     def test_each_product_taken_once(self, monkeypatch, parts, descending):
-        """Over every r, in either order, each prefix of columns takes the
-        product of a minor one column shorter by the entry of a row
-        outside it once, and only on the rows that it covers."""
+        """Over every r, in either order, each (cols, rows) minor of the
+        table takes the product of the entry of each of its rows by the
+        minor without that row once, and only where both are nonzero."""
         lam = Composition(parts)
         products = []
         real = SparseElement._mul_into
@@ -462,10 +463,7 @@ class TestMinorTable:
             determinant_sum(lam, r, Polynomial.variable)
         table = minor_table(lam, Polynomial.variable)
         composition.state.cache_clear()
-        assert len(products) == sum(
-            1 for prefix, (rows, _) in table.items() if len(prefix) > 1
-            for mask in table[prefix[:-1]][1] if not mask & ~rows
-            for i in range(rows.bit_length()) if (rows & ~mask) >> i & 1)
+        assert len(products) == memo_products(table)
 
     def test_a_weight_asked_again_builds_nothing(self):
         """A second pass over every r calls no entry and leaves every
@@ -481,13 +479,12 @@ class TestMinorTable:
         weights = range(1, lam.N + 1)
         first = [determinant_sum(lam, r, entry) for r in weights]
         table = minor_table(lam, entry)
-        before = {p: dict(minors) for p, (_, minors) in table.items()}
+        before = dict(table)
         built = len(calls)
         assert [determinant_sum(lam, r, entry) for r in weights] == first
         assert len(calls) == built
-        assert {p: dict(minors) for p, (_, minors) in table.items()} == before
-        assert all(table[p][1][mask] is minor for p, minors in before.items()
-                   for mask, minor in minors.items())
+        assert len(table) == len(before)
+        assert all(table[key] is minor for key, minor in before.items())
 
 
 class TestCentralElements:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from nilcent import composition, freealg
-from nilcent.centralizer import BasisIndex, is_admissible
+from nilcent.centralizer import BasisIndex, is_admissible, minor_table
 from nilcent.composition import (
     Composition,
     monotone_compositions,
@@ -26,12 +26,13 @@ from nilcent.freealg import (
     verify_graded_image,
     z_polynomial,
 )
-from nilcent.linalg import extend_minors
+from nilcent.linalg import SparseElement, column_minor
 
 from conftest import embed, free_elements, plant_z
 from oracles import (
     binomial_z_expansion_by_pairs,
     left_minor_cdets,
+    memo_products,
     perm_sign,
     substitute_word,
     verify_left_minor_vanishing,
@@ -212,63 +213,106 @@ class Unreadable:
     """An entry that fails on any use: its row must never be read."""
 
     def __bool__(self):
-        raise AssertionError("entry of a row already in the mask was read")
+        raise AssertionError("entry of a row outside the set was read")
 
     __neg__ = __mul__ = __rmul__ = __bool__
 
 
-class TestExtendMinors:
-    def test_fold_matches_leibniz(self):
-        """Folded over the columns, from the first column or from the empty
-        row set, the full minor is the determinant."""
+def entry_of(m, read=None):
+    """The column_minor entry of the matrix m, recording each read."""
+    def entry(i, col):
+        if read is not None:
+            read.append((i, col))
+        return m[i][col]
+    return entry
+
+
+class TestColumnMinor:
+    def test_full_minor_matches_leibniz(self):
+        """On every row the minor is the determinant, and the memo keeps
+        a zero minor as None, never as a zero element."""
         rng = random.Random(23)
-        one = FreeElement({(): 1})
         for n in (1, 2, 3, 4, 5):
-            full = (1 << n) - 1
             for _ in range(6):
                 m = random_free_matrix(rng, n)
+                memo: dict = {}
+                det = column_minor(memo, entry_of(m), tuple(range(n)),
+                                   (1 << n) - 1)
                 want = leibniz(m)
-                first = {1 << i: row[0] for i, row in enumerate(m) if row[0]}
-                empty = {0: one}
-                for col in range(n):
-                    column = [row[col] for row in m]
-                    if col:
-                        first = extend_minors(first, column)
-                    empty = extend_minors(empty, column)
-                assert first.get(full, FreeElement({})) == want
-                assert empty.get(full, FreeElement({})) == want
-                assert all(first.values()) and all(empty.values())
+                assert det == want if want else det is None
+                assert all(v is None or v for v in memo.values())
 
-    def test_leaves_its_minors_and_column_unchanged(self):
+    def test_gapped_row_sets_match_leibniz(self):
+        """Square sub-blocks on any columns, in any order, and on row sets
+        with gaps, where the sign counts only the rows of R above i, all
+        read through one memo."""
+        rng = random.Random(41)
+        gapped = 0
+        for n in (2, 3, 4, 5, 6):
+            m = random_free_matrix(rng, n)
+            memo: dict = {}
+            for _ in range(25):
+                k = rng.randint(1, n)
+                rows = sorted(rng.sample(range(n), k))
+                cols = tuple(rng.sample(range(n), k))
+                gapped += rows[-1] - rows[0] >= k
+                want = leibniz([[m[i][c] for c in cols] for i in rows])
+                got = column_minor(memo, entry_of(m), cols,
+                                   sum(1 << i for i in rows))
+                assert got == want if want else got is None
+        assert gapped > 20
+
+    def test_leaves_its_memo_and_entries_unchanged(self):
         rng = random.Random(37)
         for n in (2, 3, 4, 5):
             m = random_free_matrix(rng, n)
             m[1][1] = m[0][0] = m[0][0] + 1
-            minors = {1 << i: row[0] for i, row in enumerate(m) if row[0]}
-            for col in range(1, n):
-                column = [row[col] for row in m]
-                before = ({k: dict(v.terms) for k, v in minors.items()},
-                          [dict(x.terms) for x in column])
-                extended = extend_minors(minors, column)
-                assert ({k: v.terms for k, v in minors.items()},
-                        [x.terms for x in column]) == before
-                minors = extended
+            entries = [[dict(x.terms) for x in row] for row in m]
+            memo: dict = {}
+            for k in range(1, n + 1):
+                before = {key: dict(v.terms) for key, v in memo.items() if v}
+                column_minor(memo, entry_of(m), tuple(range(k)), (1 << k) - 1)
+                assert {key: memo[key].terms for key in before} == before
+            assert [[x.terms for x in row] for row in m] == entries
 
-    def test_cancelled_minor_leaves_no_entry(self):
-        """Rows 0 and 1 carry x, and the next column is y on both, so
-        x*y - x*y cancels on rows {0, 1}; the minors through row 2 stay."""
-        x, y, z = letter("x"), letter("y"), letter("z")
-        got = extend_minors({0b001: x, 0b010: x}, [y, y, z])
-        assert got == {0b101: x * z, 0b110: x * z}
-        assert extend_minors({0b001: x, 0b010: x}, [y, y, FreeElement({})]) == {}
+    def test_cancelled_minor_is_never_extended(self, monkeypatch):
+        """Rows 0 and 1 carry x and then y, so x*y - x*y cancels on rows
+        {0, 1}; the minors through row 2 stay, and a third column that
+        needs the cancelled minor takes no product with it."""
+        x, y, z, w = (letter(c) for c in "xyzw")
+        zero = FreeElement({})
+        m = [[x, y, zero], [x, y, zero], [zero, z, w]]
+        products = []
+        real = SparseElement._mul_into
 
-    def test_rows_in_the_mask_are_never_read(self):
+        def counted(self, out, other, scale):
+            products.append(self)
+            return real(self, out, other, scale)
+
+        monkeypatch.setattr(SparseElement, "_mul_into", counted)
+        memo: dict = {}
+        assert column_minor(memo, entry_of(m), (0, 1), 0b011) is None
+        assert memo[(0, 1), 0b011] is None and len(products) == 2
+        assert column_minor(memo, entry_of(m), (0, 1), 0b101) == x * z
+        assert column_minor(memo, entry_of(m), (0, 1), 0b110) == x * z
+        del products[:]
+        assert column_minor(memo, entry_of(m), (0, 1, 2), 0b111) is None
+        assert products == []
+
+    def test_rows_outside_the_set_are_never_read(self):
+        rng = random.Random(43)
+        for n in (3, 4, 5):
+            m = random_free_matrix(rng, n)
+            for _ in range(10):
+                k = rng.randint(1, n - 1)
+                rows = sum(1 << i for i in rng.sample(range(n), k))
+                read = []
+                column_minor({}, entry_of(m, read), tuple(range(k)), rows)
+                assert read and all(rows >> i & 1 for i, _ in read)
+        # row 1 is outside {0, 2}; the sign counts the rows of R above i
         a, b, c, d = (letter(x) for x in "abcd")
-        got = extend_minors({0b001: a, 0b011: c}, [Unreadable(), b, d])
-        assert got == {0b011: a * b, 0b101: a * d, 0b111: c * d}
-        # the sign counts the rows of the mask above the new row
-        assert extend_minors({0b100: a}, [b, c, Unreadable()]) == {
-            0b101: -(a * b), 0b110: -(a * c)}
+        m = [[b, d], [Unreadable(), Unreadable()], [a, c]]
+        assert column_minor({}, entry_of(m), (0, 1), 0b101) == b * c - a * d
 
 
 class TestTSymbol:
@@ -443,7 +487,7 @@ class TestExpansion:
                     assert rep.ok, rep.failures()
 
     def test_matches_pair_oracle(self):
-        for total in range(1, 6):
+        for total in range(1, 7):
             for lam in increasing(total):
                 assert_matches_pair_oracle_in_any_order(lam)
 
@@ -453,33 +497,44 @@ class TestExpansion:
         assert_matches_pair_oracle_in_any_order(Composition(parts))
 
     def test_each_prefix_extended_once(self, monkeypatch):
-        """Every nonempty prefix of every nu over all r costs one column
-        step, and a second pass over r costs none."""
+        """Over all r, each minor on a prefix of the columns of a nu, a
+        (cols, rows) key of the memo, is built once: one symbol read per
+        entry, and one product per row whose entry and whose minor
+        without that row are both nonzero.  A second pass over r reads
+        nothing and builds nothing."""
         lam = Composition((1, 1, 2, 2))
-        prefixes = set()
-        for r in range(1, lam.N + 1):
-            for mu in weight_subcompositions(lam, r):
-                ranges = [(mu[0],)] + [range(m + 1) for m in mu[1:]]
-                for nu in itertools.product(*ranges):
-                    prefixes.update(nu[:k] for k in range(1, lam.n + 1))
-        calls = []
-        original = freealg.extend_minors
-
-        def spy(minors, column):
-            calls.append(column)
-            return original(minors, column)
-
-        def column_steps():
-            calls.clear()
-            for r in range(1, lam.N + 1):
-                rep = expansion_identity(lam, r)
-                assert rep.ok, rep.failures()
-            return len(calls)
-
-        monkeypatch.setattr(freealg, "extend_minors", spy)
         composition.state.cache_clear()
-        assert column_steps() == len(prefixes)
-        assert column_steps() == 0
+        want = z_polynomial(lam)
+        reads, products = [], []
+        real_symbol, real_mul = freealg.t_symbol, SparseElement._mul_into
+
+        def symbol(*args):
+            reads.append(args)
+            return real_symbol(*args)
+
+        def counted(self, out, other, scale):
+            products.append(other)
+            return real_mul(self, out, other, scale)
+
+        monkeypatch.setattr(freealg, "t_symbol", symbol)
+        monkeypatch.setattr(SparseElement, "_mul_into", counted)
+
+        def one_pass():
+            reads.clear()
+            products.clear()
+            for r in range(1, lam.N + 1):
+                assert binomial_z_expansion(lam, r) == want[r - 1]
+            return len(reads), len(products)
+
+        built = one_pass()
+        memo = minor_table(lam, symbol)
+        before = dict(memo)
+        assert built == (sum(len(cols) == 1 for cols, _ in memo),
+                         memo_products(memo))
+        assert one_pass() == (0, 0)
+        assert all(memo[key] is minor for key, minor in before.items())
+        assert len(memo) == len(before)
+        composition.state.cache_clear()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
