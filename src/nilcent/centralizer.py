@@ -37,9 +37,9 @@ derived invariance row to.
 determinant_sum is the paper's sum over mu of column determinants in
 the labels e[a,b;mu_b - 1], behind z_r and x_r alike; it looks each
 label up in the basis, so a label outside it stops the sum.  The
-determinants share their minors: each is linalg.column_minor on the
-columns ((b, mu_b - 1), ...) and the rows of the support of mu, in the
-memo minor_table(lam, entry), one per entry function, kept in
+determinants share their minors: each is linalg.column_minor of the
+labels on the columns (b, mu_b - 1) and the rows of the support of mu,
+in the memo minor_table(lam, entry), one per entry function, kept in
 composition.state(lam) and dropped with it.  A minor is so built once
 for every mu and every r that share its columns and rows, and only when
 a weight asks for it.  LABEL spells a label, for str.format, and
@@ -308,8 +308,8 @@ def determinant_sum(lam: Composition, r: int, entry) -> dict:
 
     Each label of a mu is found in the basis of lam before its
     determinant is read; for a minimal mu each one is there.  The
-    determinant is the column_minor of the columns ((b, mu_b - 1), ...)
-    on the rows of the support, row a at bit a - 1, in
+    determinant is the column_minor of entry(BasisIndex(a, b, s)) on the
+    columns ((b, mu_b - 1), ...) and the rows of the support, in
     minor_table(lam, entry).  A minor is so built once for every mu and
     every r that share its columns and rows, and nothing is built for a
     weight not asked for.
@@ -317,8 +317,8 @@ def determinant_sum(lam: Composition, r: int, entry) -> dict:
     basis = structure_constants(lam).index_of
     table = minor_table(lam, entry)
 
-    def label_entry(i, col):
-        return entry(BasisIndex(i + 1, *col))
+    def label_entry(*label):
+        return entry(BasisIndex(*label))
 
     terms: dict = {}
     for mu in enumerate_mu(lam, r):

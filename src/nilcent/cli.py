@@ -91,12 +91,14 @@ def sweep_composition(lam: Composition, seed: int = 0) -> list[dict]:
         report_row("centrality", r, rep,
                    f"{len(z.terms)} terms, {len(rep.checks)} generators")
 
-        row("filtration_degree", r, filtration_degree(z) == degrees[r - 1],
-            f"expected {degrees[r - 1]}")
+        zero = "" if z else f"; z_{r} = 0"  # no degree and no top symbol
+        row("filtration_degree", r,
+            bool(z) and filtration_degree(z) == degrees[r - 1],
+            f"expected {degrees[r - 1]}{zero}")
 
         x = elementary_invariant(lam, r)
-        symbol_ok = top_symbol(z) == x
-        row("top_symbol", r, symbol_ok, f"{len(x.terms)} monomials")
+        symbol_ok = bool(z) and top_symbol(z) == x
+        row("top_symbol", r, symbol_ok, f"{len(x.terms)} monomials{zero}")
 
         # ad y preserves the PBW filtration, and on the associated graded
         # S(g_e) it induces ad y again, so the symbol map commutes with
@@ -225,6 +227,8 @@ def _basis(lam: Composition, ns) -> tuple:
 def _central(lam: Composition, ns) -> tuple:
     def one(r):
         z = enveloping.central_element(lam, r)
+        if not z:
+            raise RuntimeError(f"z_{r} = 0 has no filtration degree")
         obj = pbw_to_json_obj(z)
         obj.update(r=r, filtration_degree=filtration_degree(z))
         return obj, [f"z_{r} = {z!r}"], True

@@ -15,12 +15,12 @@ applies ad e as a derivation and puts each bracket term back in order
 by the insertion.  central_element is centralizer.determinant_sum with
 the shifted generators, tilde, as entries, each product taken in column
 order; its linalg.column_minor memo, centralizer.minor_table, keeps
-every minor, so each is built once for every weight.  Insertions into unsorted words are memoised per word
-in pbw_algebra(lam), kept with the central elements in the one
-composition.state.  Only the insertions that are read back are stored:
-the rewriting's own recursion and product_sum's prefix steps, which
-recur across r.  The top-level insertions of a product or of the
-centrality walk are not stored.
+every minor, so each is built once for every weight.  Insertions into
+unsorted words are memoised per word in pbw_algebra(lam), kept with the
+central elements in the one composition.state.  Only the insertions
+that are read back are stored: the rewriting's own recursion and
+product_sum's prefix steps, which recur across r.  The top-level
+insertions of a product or of the centrality walk are not stored.
 
 A word is the bytes of its letters' basis positions: b"" is the empty
 word and centralizer.LETTERS holds the one-letter words.  Bytes sort as
@@ -67,17 +67,11 @@ class PbwAlgebra:
         return PbwElement(self, {LETTERS[t]: 1})
 
     def tilde(self, idx) -> "PbwElement":
-        """Generator shifted by its diagonal constant.
-
-        e[i,i;0] is lowered by (i - 1) * lam_i; all other generators are
-        unchanged.
-        """
-        idx = BasisIndex(*idx)
+        """e[idx], or for idx = (i, i, 0) e[i,i;0] - (i - 1) * lam_i."""
+        i, j, r = idx
         el = self.embed(idx)
-        if idx.r == 0 and idx.i == idx.j:
-            shift = (idx.i - 1) * self.lam.part(idx.i)
-            if shift:
-                el = el - self.scalar(shift)
+        if r == 0 and i == j and i > 1:
+            el.terms[b""] = (1 - i) * self.lam.part(i)
         return el
 
     def _insert(self, head: bytes, z: int, tail: bytes,

@@ -5,27 +5,29 @@ are TSymbol(i, j, s) with s >= 1, subject to the window rule: the symbol
 of superscript s >= 1 is a letter exactly when e[i,j;s-1] is a basis
 label, which centralizer.is_admissible decides, and vanishes otherwise;
 superscript 0 is the scalar delta_{i,j} (never stored as a letter).  The
-column determinant of the twisted symbol matrix produces a monic
-polynomial in a central variable u whose coefficients Z_r expand the
-central generators; its monomials are pairs (k, word) for u^k * word, so
-z_polynomial groups them by k in one pass.  expansion_identity checks
-Z_r against its binomial expansion, which sums weighted n x n symbol
-determinants with superscripts nu; the weights of each nu are summed
-first, and each determinant is linalg.column_minor in one memo for the
-composition, centralizer.minor_table(lam, t_symbol), so each minor on a
-prefix of nu is built once and shared by every nu and every r that
-extends that prefix.  The check never reads
-z_polynomial's u-expansion.  verify_graded_image checks that loop_weight
-is bounded on the words of Z_r and that substituting centralizer
-generators for the letters sends the top-weight part onto the central
-generator of matching weight; the substituted words are multiplied out
-by enveloping.product_sum, which walks them in sorted order and
-multiplies each shared prefix once.
+column determinant of the twisted symbol matrix, linalg.column_minor of
+t_entry_polynomial on the columns (j,), produces a monic polynomial in a
+central variable u whose coefficients Z_r expand the central generators;
+its monomials are pairs (k, word) for u^k * word, so z_polynomial groups
+them by k in one pass.  expansion_identity checks Z_r against its
+binomial expansion, which sums weighted n x n symbol determinants with
+superscripts nu; the weights of each nu are summed first, and each
+determinant is column_minor of t_symbol on the columns (j, nu_j), in one
+memo for the composition, centralizer.minor_table(lam, t_symbol), so
+each minor on a prefix of nu is built once and shared by every nu and
+every r that extends that prefix.  The check never reads z_polynomial's
+u-expansion.  verify_graded_image checks that loop_weight is bounded on
+the words of Z_r and that substituting centralizer generators for the
+letters sends the top-weight part onto the central generator of matching
+weight; the substituted words are multiplied out by
+enveloping.product_sum, which walks them in sorted order and multiplies
+each shared prefix once.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import comb
 from typing import NamedTuple
 
@@ -39,8 +41,7 @@ from .composition import (
     weight_subcompositions,
 )
 from .enveloping import central_element, product_sum
-from .linalg import (SparseElement, accumulate, column_determinant,
-                     column_minor)
+from .linalg import SparseElement, accumulate, column_minor
 from .reports import Check, Report, residual_check
 
 
@@ -133,15 +134,12 @@ def z_polynomial(lam: Composition) -> tuple[FreeElement, ...]:
     parts.
     """
     require_increasing(lam, "the symbol determinant")
-    n = lam.n
-    matrix = [
-        [t_entry_polynomial(lam, i, j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    N = lam.N
+    n, N = lam.n, lam.N
+    det = column_minor({}, partial(t_entry_polynomial, lam),
+                       tuple((j,) for j in range(1, n + 1)), (1 << n) - 1)
     lower: list[dict] = [{} for _ in range(N)]
     top: dict = {}
-    for (k, w), c in column_determinant(matrix).terms.items():
+    for (k, w), c in (det.terms if det else {}).items():
         if k < N:
             lower[k][w] = c
         else:
@@ -159,8 +157,8 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     superscripts nu by
         prod_i (1 - i)^(mu_i - nu_i) * binom(lam_i - nu_i, lam_i - mu_i).
     The determinant depends on nu alone, so the weights are first summed
-    over mu, and each determinant is the column_minor of the columns
-    ((j, nu_j), ...) on every row, in centralizer.minor_table(lam,
+    over mu, and each determinant is the column_minor of t_symbol on the
+    columns ((j, nu_j), ...) and every row, in centralizer.minor_table(lam,
     t_symbol), which shares the minors of a common prefix across every
     nu and every r.  Identically vanishing symbol words are dropped by the
     window rule.
@@ -183,10 +181,7 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     # of sign (-1)^(r - |nu|): the totals over mu never cancel
     full = (1 << n) - 1
     table = minor_table(lam, t_symbol)
-
-    def symbol(i, col):
-        return t_symbol(lam, i + 1, *col)
-
+    symbol = partial(t_symbol, lam)
     terms: dict = {}
     for nu, weight in weights.items():
         det = column_minor(table, symbol, tuple(enumerate(nu, start=1)), full)

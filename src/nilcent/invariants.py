@@ -4,9 +4,10 @@ The associated graded of the enveloping algebra is the polynomial ring on
 the basis labels; top_symbol extracts the image of an element in its
 filtration degree.  elementary_invariant is centralizer.determinant_sum
 with the labels as commutative variables, whose minors stay in a
-linalg.column_minor memo of their own, centralizer.minor_table.  The sweep does not walk x_r:
-it derives invariance from the centrality of z_r and from
-top_symbol(z_r) = x_r, since the symbol map commutes with ad.
+linalg.column_minor memo of their own, centralizer.minor_table.  The
+sweep does not walk x_r: it derives invariance from the centrality of
+z_r and from top_symbol(z_r) = x_r, since the symbol map commutes with
+ad.
 verify_invariant is the direct reference for that row.  It checks that
 ad of every basis generator, the derivation extending the bracket, kills
 an elementary invariant: it rewrites the monomials as words of basis

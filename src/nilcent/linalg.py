@@ -17,10 +17,11 @@ minor of SparseElement entries of one ring on a tuple of columns and a
 row bitmask by expansion along its last column, filling the term map in
 place through _mul_into with the sign as the scale, and keeps every
 minor in a memo that the caller owns under (cols, rows), a zero one as
-None.  Determinants that share leading columns so share their minors:
-column_determinant gives each matrix a memo of its own, and
-centralizer.minor_table keeps one per composition and entry function,
-for determinant_sum and for freealg.binomial_z_expansion.
+None.  It alone maps the bitmask to rows: bit a - 1 is row a, whose
+entry in the column col is entry(a, *col), so each caller hands over its
+algebra's own entry builder.  Determinants that share leading columns
+share their minors in centralizer.minor_table, one memo per composition
+and entry function.
 echelon_add is the one elimination: it reads each row as a map from
 column to scalar, so a sparse row costs only its nonzero entries, and it
 reduces fraction-free, so integer rows never become Fractions.
@@ -193,42 +194,26 @@ def _repr_key(m):
     return (-len(m), m)
 
 
-def column_determinant(matrix):
-    """Sum over permutations p of sign(p) * m[p0][0] * m[p1][1] * ... .
-
-    Factors multiply in column order, so entries may come from a
-    noncommutative ring; they are SparseElements of one ring.  This is
-    column_minor on every row and column, with a memo of its own.
-    """
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("column determinant needs a nonempty square matrix")
-    det = column_minor({}, lambda i, col: rows[i][col], tuple(range(n)),
-                       (1 << n) - 1)
-    return rows[0][0] * 0 if det is None else det
-
-
 def column_minor(memo, entry, cols, rows):
-    """The column determinant of entry(i, col) on the rows i of the
-    bitmask rows and the columns cols, a tuple with one column per row;
-    None when it is zero.
+    """The column determinant of the SparseElements entry(a, *col), all of
+    one ring, on the rows a of the bitmask rows, row a at bit a - 1, and
+    the columns cols, a tuple of one tuple per row; None when it is zero.
 
     The minor is expanded along its last column:
-        F(cols, R) = sum over i in R of (-1)^#{j in R : j > i}
-                     * F(cols[:-1], R - {i}) * F(cols[-1:], {i}),
+        F(cols, R) = sum over a in R of (-1)^#{b in R : b > a}
+                     * F(cols[:-1], R - {a}) * F(cols[-1:], {a}),
     each product added into one term map through _mul_into, with the sign
     as the scale.  memo keeps every minor under (cols, rows): a one-column
     minor is an entry, and a zero minor is None.  So each minor is built
     once for all the callers that share memo, and a cancelled one is never
-    extended.  Entry i is read before the minor without row i, so a zero
+    extended.  Entry a is read before the minor without row a, so a zero
     entry prunes that branch, and no entry of a row outside R is read.
     """
     key = (cols, rows)
     if key in memo:
         return memo[key]
     if len(cols) == 1:
-        memo[key] = minor = entry(rows.bit_length() - 1, cols[0]) or None
+        memo[key] = minor = entry(rows.bit_length(), *cols[0]) or None
         return minor
     shorter, last = cols[:-1], cols[-1:]
     terms: dict = {}

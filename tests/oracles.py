@@ -11,21 +11,22 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from nilcent import enveloping, invariants
+from nilcent import composition, enveloping, invariants
 from nilcent.centralizer import (
     LABEL,
     BasisIndex,
     basis_element,
     basis_list,
+    determinant_sum,
     is_admissible,
     structure_constants,
     unit_support,
 )
 from nilcent.composition import enumerate_mu, weight_subcompositions
 from nilcent.enveloping import PbwElement, pbw_algebra
-from nilcent.freealg import FreeElement, t_symbol
-from nilcent.invariants import Polynomial
-from nilcent.linalg import accumulate, column_determinant
+from nilcent.freealg import FreeElement, binomial_z_expansion, t_symbol
+from nilcent.invariants import Polynomial, verify_invariant
+from nilcent.linalg import accumulate, column_minor
 from nilcent.reports import Check, Report, residual_check
 from nilcent.slice import PVar, base_point
 
@@ -42,6 +43,22 @@ def perm_sign(perm) -> int:
         if perm[a] > perm[b]
     )
     return -1 if inversions % 2 else 1
+
+
+def column_determinant(matrix):
+    """Sum over permutations p of sign(p) * m[p0][0] * m[p1][1] * ... .
+
+    Factors multiply in column order, so entries may come from a
+    noncommutative ring; they are SparseElements of one ring.  This is
+    column_minor on every row and column, with a memo of its own.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("column determinant needs a nonempty square matrix")
+    det = column_minor({}, lambda a, col: rows[a - 1][col],
+                       tuple((col,) for col in range(n)), (1 << n) - 1)
+    return rows[0][0] * 0 if det is None else det
 
 
 def box_position(lam, k: int) -> tuple[int, int]:
@@ -168,6 +185,13 @@ def invariant_report_all_labels(lam, r) -> Report:
     return Report(f"invariance lambda={lam} r={r}", checks)
 
 
+def failed_invariance_walks(lams) -> list:
+    """The (lam, r), lam in lams and r in 1..N, on which verify_invariant,
+    the direct invariance walk, fails."""
+    return [(lam, r) for lam in lams for r in range(1, lam.N + 1)
+            if not verify_invariant(lam, r).ok]
+
+
 def transposition_normal_form(alg, word: bytes) -> dict:
     """PBW normal form of a word of interned labels, one transposition at a time.
 
@@ -215,6 +239,28 @@ def determinant_sum_per_mu(lam, r, entry) -> dict:
         det = column_determinant([[entries[x] for x in row] for row in labels])
         accumulate(terms, det.terms.items())
     return terms
+
+
+def failed_determinant_sums(lams) -> list:
+    """The (lam, r), lam in lams and r in 1..N, on which determinant_sum
+    differs from determinant_sum_per_mu for z_r or for x_r.
+
+    Each lam starts on a cold composition.state.  The z_r are asked for
+    by ascending r and the x_r by descending r, so each minor_table
+    grows both ways.
+    """
+    failed = []
+    for lam in lams:
+        composition.state.cache_clear()
+        alg = pbw_algebra(lam)
+        weights = range(1, lam.N + 1)
+        for entry, order in ((alg.tilde, weights),
+                             (Polynomial.variable, reversed(weights))):
+            failed.extend((lam, r) for r in order
+                          if determinant_sum(lam, r, entry)
+                          != determinant_sum_per_mu(lam, r, entry))
+    composition.state.cache_clear()
+    return list(dict.fromkeys(failed))
 
 
 def memo_products(memo) -> int:
@@ -350,6 +396,25 @@ def binomial_z_expansion_by_pairs(lam, r: int) -> FreeElement:
             )
             total = total + det * weight
     return total
+
+
+def failed_symbol_expansions(lams) -> list:
+    """The (lam, r), lam in lams and r in 1..N, on which
+    binomial_z_expansion differs from binomial_z_expansion_by_pairs.
+
+    Each lam is read first on a cold composition.state with r
+    descending, then on the warm state with r ascending: a prefix built
+    for one r must serve every other r.
+    """
+    failed = []
+    for lam in lams:
+        weights = range(1, lam.N + 1)
+        want = {r: binomial_z_expansion_by_pairs(lam, r) for r in weights}
+        composition.state.cache_clear()
+        for order in (reversed(weights), weights):
+            failed.extend((lam, r) for r in order
+                          if binomial_z_expansion(lam, r) != want[r])
+    return list(dict.fromkeys(failed))
 
 
 class DualIndex(NamedTuple):

@@ -59,6 +59,14 @@ def sweep(capsys, max_n, as_json=False):
     return rc, out
 
 
+def plant_zero_z2(monkeypatch):
+    """Make enveloping.central_element return 0 for z_2 of 1,2."""
+    real = enveloping.central_element
+    monkeypatch.setattr(enveloping, "central_element", lambda lam, r: (
+        real(lam, r) * 0 if (lam, r) == (Composition((1, 2)), 2)
+        else real(lam, r)))
+
+
 class TestDegrees:
     def test_text(self, capsys):
         rc, out, _ = run(capsys, "degrees", "--lambda", "2,3,4")
@@ -102,6 +110,14 @@ class TestCentral:
         assert obj["filtration_degree"] == 2
         lam = Composition((1, 2))
         assert obj["terms"] == pbw_to_json_obj(central_element(lam, 3))["terms"]
+
+    def test_zero_element_is_a_failed_check(self, capsys, monkeypatch):
+        """A zero z_r has no filtration degree: the run fails its check
+        and names z_r, not the usage."""
+        plant_zero_z2(monkeypatch)
+        rc, out, err = run(capsys, "central", "--lambda", "1,2", "--r", "2")
+        assert rc == cli.EXIT_VERIFY and out == ""
+        assert err == "error: z_2 = 0 has no filtration degree\n"
 
     def test_single_block(self, capsys):
         rc, out, _ = run(capsys, "central", "--lambda", "5", "--r", "3",
@@ -391,6 +407,28 @@ class TestSweep:
             ("filtration_degree", 2, "expected 1"),
             ("top_symbol", 2, "1 monomials"),
             ("invariance", 2, "premise failed: centrality, top_symbol")]
+
+    def test_zero_central_element_fails_its_rows(self, monkeypatch):
+        """z_2 = 0 has no filtration degree and no top symbol: both rows
+        fail and name it, and invariance fails through its premise."""
+        plant_zero_z2(monkeypatch)
+        rows = [row for row in cli.sweep_composition(Composition((1, 2)))
+                if not row["ok"]]
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("filtration_degree", 2, "expected 1; z_2 = 0"),
+            ("top_symbol", 2, "1 monomials; z_2 = 0"),
+            ("invariance", 2, "premise failed: top_symbol")]
+
+    def test_zero_central_element_fails_the_sweep(self, capsys, monkeypatch):
+        plant_zero_z2(monkeypatch)
+        rc, out, _ = run(capsys, "sweep", "--max-N", "3", "--jobs", "1")
+        assert rc == cli.EXIT_VERIFY
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            "lambda=1,2  N=3  checks=25  FAILED",
+            "  FAIL filtration_degree r=2  expected 1; z_2 = 0",
+            "  FAIL top_symbol r=2  1 monomials; z_2 = 0",
+            "  FAIL invariance r=2  premise failed: top_symbol",
+            "SWEEP FAILED: 7 compositions, 137 checks"]
 
     def test_failed_invariance_row_names_a_witness(self, monkeypatch):
         """A non-invariant x_r, planted where the sweep reads it, fails its

@@ -18,7 +18,6 @@ from nilcent.freealg import (
     TSymbol,
     UPolynomial,
     binomial_z_expansion,
-    column_determinant,
     expansion_identity,
     loop_weight,
     t_entry_polynomial,
@@ -30,7 +29,8 @@ from nilcent.linalg import SparseElement, column_minor
 
 from conftest import embed, free_elements, plant_z
 from oracles import (
-    binomial_z_expansion_by_pairs,
+    column_determinant,
+    failed_symbol_expansions,
     left_minor_cdets,
     memo_products,
     perm_sign,
@@ -219,12 +219,19 @@ class Unreadable:
 
 
 def entry_of(m, read=None):
-    """The column_minor entry of the matrix m, recording each read."""
-    def entry(i, col):
+    """The column_minor entry of the matrix m, on the columns (c,) that
+    columns gives: entry(a, c) is m[a - 1][c], row a sitting at bit
+    a - 1.  Each read is recorded as (a, c)."""
+    def entry(a, c):
         if read is not None:
-            read.append((i, col))
-        return m[i][col]
+            read.append((a, c))
+        return m[a - 1][c]
     return entry
+
+
+def columns(cs):
+    """The column_minor columns (c,) of the matrix columns cs."""
+    return tuple((c,) for c in cs)
 
 
 class TestColumnMinor:
@@ -236,7 +243,7 @@ class TestColumnMinor:
             for _ in range(6):
                 m = random_free_matrix(rng, n)
                 memo: dict = {}
-                det = column_minor(memo, entry_of(m), tuple(range(n)),
+                det = column_minor(memo, entry_of(m), columns(range(n)),
                                    (1 << n) - 1)
                 want = leibniz(m)
                 assert det == want if want else det is None
@@ -257,7 +264,7 @@ class TestColumnMinor:
                 cols = tuple(rng.sample(range(n), k))
                 gapped += rows[-1] - rows[0] >= k
                 want = leibniz([[m[i][c] for c in cols] for i in rows])
-                got = column_minor(memo, entry_of(m), cols,
+                got = column_minor(memo, entry_of(m), columns(cols),
                                    sum(1 << i for i in rows))
                 assert got == want if want else got is None
         assert gapped > 20
@@ -271,7 +278,8 @@ class TestColumnMinor:
             memo: dict = {}
             for k in range(1, n + 1):
                 before = {key: dict(v.terms) for key, v in memo.items() if v}
-                column_minor(memo, entry_of(m), tuple(range(k)), (1 << k) - 1)
+                column_minor(memo, entry_of(m), columns(range(k)),
+                             (1 << k) - 1)
                 assert {key: memo[key].terms for key in before} == before
             assert [[x.terms for x in row] for row in m] == entries
 
@@ -291,12 +299,13 @@ class TestColumnMinor:
 
         monkeypatch.setattr(SparseElement, "_mul_into", counted)
         memo: dict = {}
-        assert column_minor(memo, entry_of(m), (0, 1), 0b011) is None
-        assert memo[(0, 1), 0b011] is None and len(products) == 2
-        assert column_minor(memo, entry_of(m), (0, 1), 0b101) == x * z
-        assert column_minor(memo, entry_of(m), (0, 1), 0b110) == x * z
+        two, three = columns((0, 1)), columns((0, 1, 2))
+        assert column_minor(memo, entry_of(m), two, 0b011) is None
+        assert memo[two, 0b011] is None and len(products) == 2
+        assert column_minor(memo, entry_of(m), two, 0b101) == x * z
+        assert column_minor(memo, entry_of(m), two, 0b110) == x * z
         del products[:]
-        assert column_minor(memo, entry_of(m), (0, 1, 2), 0b111) is None
+        assert column_minor(memo, entry_of(m), three, 0b111) is None
         assert products == []
 
     def test_rows_outside_the_set_are_never_read(self):
@@ -307,12 +316,27 @@ class TestColumnMinor:
                 k = rng.randint(1, n - 1)
                 rows = sum(1 << i for i in rng.sample(range(n), k))
                 read = []
-                column_minor({}, entry_of(m, read), tuple(range(k)), rows)
-                assert read and all(rows >> i & 1 for i, _ in read)
-        # row 1 is outside {0, 2}; the sign counts the rows of R above i
+                column_minor({}, entry_of(m, read), columns(range(k)), rows)
+                assert read and all(rows >> a - 1 & 1 for a, _ in read)
+        # row 2 is outside {1, 3}; the sign counts the rows of R above a
         a, b, c, d = (letter(x) for x in "abcd")
         m = [[b, d], [Unreadable(), Unreadable()], [a, c]]
-        assert column_minor({}, entry_of(m), (0, 1), 0b101) == b * c - a * d
+        assert column_minor({}, entry_of(m), columns((0, 1)),
+                            0b101) == b * c - a * d
+
+    def test_entry_gets_the_row_of_each_bit_and_the_column_fields(self):
+        """Bit a - 1 of the mask is row a, and each column's fields follow
+        the row as separate arguments."""
+        read = []
+
+        def entry(*args):
+            read.append(args)
+            return letter("".join(map(str, args)))
+
+        det = column_minor({}, entry, ((2, 0), (1, 3)), 0b101)
+        assert sorted(read) == [(1, 1, 3), (1, 2, 0), (3, 1, 3), (3, 2, 0)]
+        assert det == letter("120") * letter("313") - letter(
+            "320") * letter("113")
 
 
 class TestTSymbol:
@@ -455,19 +479,6 @@ class TestZPolynomial:
             z_polynomial(lam)
 
 
-def assert_matches_pair_oracle_in_any_order(lam):
-    """binomial_z_expansion equals the pair oracle for every r, first on a
-    cold state with r descending, then on the warm state with r
-    ascending: a prefix built for one r must serve every other r."""
-    weights = range(1, lam.N + 1)
-    want = {r: binomial_z_expansion_by_pairs(lam, r) for r in weights}
-    composition.state.cache_clear()
-    for r in reversed(weights):
-        assert binomial_z_expansion(lam, r) == want[r], (lam, r, "cold")
-    for r in weights:
-        assert binomial_z_expansion(lam, r) == want[r], (lam, r, "warm")
-
-
 class TestExpansion:
     def test_loop_weight(self):
         assert loop_weight(()) == 0
@@ -487,14 +498,16 @@ class TestExpansion:
                     assert rep.ok, rep.failures()
 
     def test_matches_pair_oracle(self):
-        for total in range(1, 7):
-            for lam in increasing(total):
-                assert_matches_pair_oracle_in_any_order(lam)
+        """binomial_z_expansion equals the pair oracle for every r, first
+        on a cold state with r descending, then on the warm state with r
+        ascending: a prefix built for one r must serve every other r."""
+        lams = [lam for total in range(1, 7) for lam in increasing(total)]
+        assert failed_symbol_expansions(lams) == []
 
     @pytest.mark.parametrize("parts", [(1, 1, 2, 2), (1, 2, 3), (1, 1, 1, 3)],
                              ids=lambda p: ",".join(map(str, p)))
     def test_order_and_state_independent(self, parts):
-        assert_matches_pair_oracle_in_any_order(Composition(parts))
+        assert failed_symbol_expansions([Composition(parts)]) == []
 
     def test_each_prefix_extended_once(self, monkeypatch):
         """Over all r, each minor on a prefix of the columns of a nu, a

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from nilcent import centralizer, slice as slice_module
 from nilcent.composition import Composition
 from nilcent.freealg import FreeElement
-from nilcent.linalg import column_determinant, echelon_add, format_scalar, rational_rank
+from nilcent.linalg import echelon_add, format_scalar, rational_rank
 
-from oracles import normalising_add, normalising_rank
+from oracles import column_determinant, normalising_add, normalising_rank
 
 
 def minor_rank(matrix) -> int:
