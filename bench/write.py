@@ -16,6 +16,12 @@ run in a fresh process, one at a time, REPEATS times each:
   that runs cli.sweep_composition(λ) alone, untraced.  The peak RSS that
   nilbench.child reports is not used: its output digests serialise every
   z_r, which on 1^8 doubles the peak, traced or not;
+- symbol: the symbol determinant path, which the sweep runs only for
+  N <= 5 and so no composition above reaches: for each of SYMBOL_QDET,
+  the wall seconds, peak RSS and stdout sha256 of `nilcent qdet
+  --lambda λ`, untraced, as for a sweep; and for SYMBOL_TRACED the
+  per-stage self seconds and counts of `python -m nilbench.child
+  --workload symbol-n6 --lambda λ --trace`;
 - probe_s: the host-speed probe of nilbench.child, a fixed kernel of about
   a millisecond, timed just before every run and kept with that run, so
   that a run made in a slow period of the host shows.
@@ -43,10 +49,12 @@ SRC = ROOT / "src"
 SWEEP_MAX_N = (6, 7, 8)
 COMPOSITIONS = ("1,1,1,1,1,1", "1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1", "2,2,2",
                 "1,1,2,2", "1,2,3", "3,4", "2,1,1,1,1")
+SYMBOL_QDET = ("1,1,1,1,1,1,1", "1,1,1,1,1,1,1,1")
+SYMBOL_TRACED = "1,1,1,1,1,1,1"
 REPEATS = 5
 
-# run in a process of its own, so that RUSAGE_CHILDREN holds this one sweep
-SWEEP_RUN = """
+# run in a process of its own, so that RUSAGE_CHILDREN holds this one command
+COMMAND_RUN = """
 import hashlib, json, resource, subprocess, sys, time
 t0 = time.perf_counter()
 out = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE,
@@ -105,30 +113,49 @@ def probed(argv: list[str], probes: list) -> dict:
     return {**run_json(argv), "probe_s": probes[-1]}
 
 
-def sweep(max_n: int, probes: list) -> dict:
-    runs = [probed([sys.executable, "-c", SWEEP_RUN, sys.executable, "-m",
-                    "nilcent", "sweep", "--max-N", str(max_n), "--jobs", "1"],
-                   probes)
+def command(args: list[str], probes: list) -> dict:
+    """`nilcent *args`, REPEATS times: wall, peak RSS and stdout sha256."""
+    runs = [probed([sys.executable, "-c", COMMAND_RUN, sys.executable, "-m",
+                    "nilcent", *args], probes)
             for _ in range(REPEATS)]
     digests = {run["sha256"] for run in runs}
     if len(digests) != 1:
-        raise RuntimeError(f"sweep --max-N {max_n} printed {len(digests)} "
+        raise RuntimeError(f"{' '.join(args)} printed {len(digests)} "
                            "different outputs")
     return {"sha256": digests.pop(), **summary(runs)}
 
 
+def sweep(max_n: int, probes: list) -> dict:
+    return command(["sweep", "--max-N", str(max_n), "--jobs", "1"], probes)
+
+
+def stages(traced: list[dict]) -> dict:
+    """Median per-stage self seconds and counts of traced child runs."""
+    medians = summary(traced)
+    del medians["runs"]
+    return {"stages_s": {k: v for k, v in medians.items() if k.endswith("_s")},
+            "counts": {k: v for k, v in medians.items()
+                       if not k.endswith("_s")}}
+
+
+def traced_child(workload: str, lam: str) -> dict:
+    return run_json([sys.executable, "-m", "nilbench.child", "--workload",
+                     workload, "--lambda", lam, "--trace"])["layers"]
+
+
 def composition(lam: str, probes: list) -> dict:
-    child = [sys.executable, "-m", "nilbench.child", "--workload", "sweep-n6",
-             "--lambda", lam, "--trace"]
     plain, traced = [], []
     for _ in range(REPEATS):
         plain.append(probed([sys.executable, "-c", UNIT_RUN, lam], probes))
-        traced.append(run_json(child)["layers"])
-    stages = summary(traced)
-    del stages["runs"]
-    return {"untraced": summary(plain),
-            "stages_s": {k: v for k, v in stages.items() if k.endswith("_s")},
-            "counts": {k: v for k, v in stages.items() if not k.endswith("_s")}}
+        traced.append(traced_child("sweep-n6", lam))
+    return {"untraced": summary(plain), **stages(traced)}
+
+
+def symbol(probes: list) -> dict:
+    qdet = {lam: command(["qdet", "--lambda", lam], probes)
+            for lam in SYMBOL_QDET}
+    traced = [traced_child("symbol-n6", SYMBOL_TRACED) for _ in range(REPEATS)]
+    return {"qdet": qdet, "traced": {SYMBOL_TRACED: stages(traced)}}
 
 
 def source_digest() -> str:
@@ -153,6 +180,7 @@ def main(argv: list[str]) -> int:
         "repeats": REPEATS,
         "sweep": {str(n): sweep(n, probes) for n in SWEEP_MAX_N},
         "compositions": {lam: composition(lam, probes) for lam in COMPOSITIONS},
+        "symbol": symbol(probes),
     }
     probes.append(probe_s())
     bench["probe_s"] = {"median": statistics.median(probes),

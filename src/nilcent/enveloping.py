@@ -11,16 +11,14 @@ falls at each level, so the reduction terminates, and by the diamond
 lemma its result does not depend on the order of the rewriting.  The
 centrality check hands the normal form and this insertion to
 centralizer.annihilator_checks, whose walk, centralizer.adjoint_images,
-applies ad e as a derivation and puts each bracket term back in order
-by the insertion.  central_element is centralizer.determinant_sum with
-the shifted generators, tilde, as entries, each product taken in column
+applies ad e as a derivation and puts each bracket term back in order by
+the insertion.  central_element is centralizer.determinant_sum with the
+shifted generators, tilde, as entries, each product taken in column
 order; its linalg.column_minor memo, centralizer.minor_table, keeps
 every minor, so each is built once for every weight.  Insertions into
 unsorted words are memoised per word in pbw_algebra(lam), kept with the
-central elements in the one composition.state.  Only the insertions
-that are read back are stored: the rewriting's own recursion and
-product_sum's prefix steps, which recur across r.  The top-level
-insertions of a product or of the centrality walk are not stored.
+central elements in the one composition.state; _insert says which of
+them are stored.
 
 A word is the bytes of its letters' basis positions: b"" is the empty
 word and centralizer.LETTERS holds the one-letter words.  Bytes sort as
@@ -28,9 +26,10 @@ tuples of positions do, so every output is as with tuples, and they
 cache their hash, which every memo and term-map lookup reads.  A
 position must so be below 256; for a lam with a larger dim g_e,
 PbwAlgebra raises centralizer.WordLimitError before it builds anything.
-The basis, its index and the bracket rows come from
-structure_constants, which interns them, and all public interfaces
-speak BasisIndex.
+The basis, its index and the bracket rows come from structure_constants,
+which interns them.  product_sum takes words of positions, as
+freealg.verify_graded_image builds them; every other public interface
+speaks BasisIndex.
 """
 
 from __future__ import annotations
@@ -162,34 +161,31 @@ class PbwElement(SparseElement):
             yield tuple(basis[t] for t in word), self.terms[word]
 
 
-def product_sum(lam: Composition, terms: dict) -> PbwElement:
-    """Normal form of sum c * e_x1 ... e_xk over the (x1, ..., xk): c of terms.
+def product_sum(lam: Composition, words: dict) -> PbwElement:
+    """Normal form of sum c * e_x1 ... e_xk over the word: c of words.
 
-    Letters are BasisIndex labels.  The words are walked in sorted order,
-    so words sharing a prefix are neighbours; a stack holds the normal
-    form of every prefix of the current word, and each distinct prefix is
-    multiplied out once, by inserting its last letter into the terms of
-    the prefix one shorter.
+    Words are bytes of basis positions x1, ..., xk, as in PbwElement.terms,
+    walked in sorted order so that words sharing a prefix are neighbours; a
+    stack holds the normal form of every prefix of the current word, and
+    each distinct prefix is multiplied out once, by inserting its last
+    letter into the terms of the prefix one shorter.
     """
     alg = pbw_algebra(lam)
     insert = alg._insert
     out: dict = {}
     stack = [{b"": 1}]  # stack[d] is the normal form of the first d letters
-    prev: tuple = ()
-    for word in sorted(terms):
+    prev = b""
+    for word in sorted(words):
         shared, limit = 0, min(len(prev), len(word))
         while shared < limit and prev[shared] == word[shared]:
             shared += 1
         del stack[shared + 1:]
-        for x in word[shared:]:
-            z = alg.index_of.get(x)
-            if z is None:
-                raise inadmissible_label(lam, x)
+        for z in word[shared:]:
             image: dict = {}
             for w, c in stack[-1].items():
                 accumulate(image, insert(w, z, b"", True).items(), c)
             stack.append(image)
-        accumulate(out, stack[-1].items(), terms[word])
+        accumulate(out, stack[-1].items(), words[word])
         prev = word
     return PbwElement(alg, out)
 

@@ -16,12 +16,12 @@ determinant is column_minor of t_symbol on the columns (j, nu_j), in one
 memo for the composition, centralizer.minor_table(lam, t_symbol), so
 each minor on a prefix of nu is built once and shared by every nu and
 every r that extends that prefix.  The check never reads z_polynomial's
-u-expansion.  verify_graded_image checks that loop_weight is bounded on
-the words of Z_r and that substituting centralizer generators for the
+u-expansion.  verify_graded_image checks that the loop weight is bounded
+on the words of Z_r and that substituting centralizer generators for the
 letters sends the top-weight part onto the central generator of matching
-weight; the substituted words are multiplied out by
-enveloping.product_sum, which walks them in sorted order and multiplies
-each shared prefix once.
+weight.  letter_positions writes each letter T[i,j;s+1] as the position
+of e[i,j;s] and tables the loop weights, so the words reach
+enveloping.product_sum as bytes, and each shared prefix is multiplied once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple
 
-from .centralizer import BasisIndex, is_admissible, minor_table
+from .centralizer import inadmissible_label, is_admissible, minor_table
 from .composition import (
     Composition,
     invariant_degrees,
@@ -40,7 +40,7 @@ from .composition import (
     require_weight,
     weight_subcompositions,
 )
-from .enveloping import central_element, product_sum
+from .enveloping import central_element, pbw_algebra, product_sum
 from .linalg import SparseElement, accumulate, column_minor
 from .reports import Check, Report, residual_check
 
@@ -51,6 +51,9 @@ class TSymbol(NamedTuple):
     i: int
     j: int
     s: int
+
+    def __str__(self) -> str:
+        return f"T[{self.i},{self.j};{self.s}]"
 
 
 class FreeElement(SparseElement):
@@ -66,13 +69,7 @@ class FreeElement(SparseElement):
         return ((w1 + w2, 1),)
 
     def _format_monomial(self, word) -> str:
-        return "*".join(_format_letter(x) for x in word) or "1"
-
-
-def _format_letter(x) -> str:
-    if isinstance(x, TSymbol):
-        return f"T[{x.i},{x.j};{x.s}]"
-    return str(x)
+        return "*".join(map(str, word)) or "1"
 
 
 def t_symbol(lam: Composition, i: int, j: int, s: int) -> FreeElement:
@@ -106,7 +103,7 @@ class UPolynomial(SparseElement):
     def _format_monomial(self, m) -> str:
         k, word = m
         u = [f"u^{k}"] if k else []
-        return "*".join(u + [_format_letter(x) for x in word]) or "1"
+        return "*".join(u + list(map(str, word))) or "1"
 
 
 def t_entry_polynomial(lam: Composition, i: int, j: int) -> UPolynomial:
@@ -190,11 +187,6 @@ def binomial_z_expansion(lam: Composition, r: int) -> FreeElement:
     return FreeElement(terms)
 
 
-def loop_weight(word) -> int:
-    """Sum of (s - 1) over the letters of a word of TSymbols."""
-    return sum(x.s - 1 for x in word)
-
-
 def expansion_identity(lam: Composition, r: int) -> Report:
     """Z_r from the determinant against its direct binomial expansion."""
     require_weight(lam, r)
@@ -205,6 +197,14 @@ def expansion_identity(lam: Composition, r: int) -> Report:
     )
 
 
+def letter_positions(lam: Composition) -> tuple[dict, bytes]:
+    """The position of e[i,j;s] for each letter T[i,j;s+1], and a 256-byte
+    table of each position's loop weight s; pbw_algebra first caps dim g_e."""
+    basis = pbw_algebra(lam).basis
+    return ({TSymbol(x.i, x.j, x.r + 1): t for t, x in enumerate(basis)},
+            bytes(x.r for x in basis).ljust(256, b"\0"))
+
+
 def verify_graded_image(lam: Composition, r: int) -> Report:
     """Loop-weight bound on Z_r and the image of its top-weight part.
 
@@ -213,18 +213,22 @@ def verify_graded_image(lam: Composition, r: int) -> Report:
     generator under the letter substitution T[i,j;s+1] -> (-1)^s e[i,j;s].
     """
     require_weight(lam, r)
-    Zr = z_polynomial(lam)[r - 1]
+    position, weights = letter_positions(lam)
     m = r - invariant_degrees(lam)[r - 1]
     # the letter signs of a word multiply to (-1)^(its loop weight) = (-1)^m
     sign = -1 if m % 2 else 1
-    label = {x: BasisIndex(x.i, x.j, x.s - 1) for word in Zr.terms for x in word}
     over, top = FreeElement({}), {}
-    for word, c in Zr.terms.items():
-        weight = loop_weight(word)
+    for word, c in z_polynomial(lam)[r - 1].terms.items():
+        try:
+            letters = bytes([position[x] for x in word])
+        except KeyError as exc:  # T[i,j;s] with e[i,j;s-1] outside the basis
+            i, j, s = exc.args[0]
+            raise inadmissible_label(lam, (i, j, s - 1)) from None
+        weight = sum(letters.translate(weights))
         if weight > m:
             over.terms[word] = c
         elif weight == m:
-            top[tuple(label[x] for x in word)] = sign * c
+            top[letters] = sign * c
     diff = product_sum(lam, top) - sign * central_element(lam, r)
     checks = (
         Check(f"loop weight of Z_{r} bounded by {m}", not over,

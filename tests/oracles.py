@@ -18,13 +18,15 @@ from nilcent.centralizer import (
     basis_element,
     basis_list,
     determinant_sum,
+    inadmissible_label,
     is_admissible,
     structure_constants,
     unit_support,
 )
 from nilcent.composition import enumerate_mu, weight_subcompositions
 from nilcent.enveloping import PbwElement, pbw_algebra
-from nilcent.freealg import FreeElement, binomial_z_expansion, t_symbol
+from nilcent.freealg import (FreeElement, binomial_z_expansion, t_symbol,
+                             verify_graded_image)
 from nilcent.invariants import Polynomial, verify_invariant
 from nilcent.linalg import accumulate, column_minor
 from nilcent.reports import Check, Report, residual_check
@@ -362,6 +364,34 @@ def substitute_word(lam, word) -> PbwElement:
         sign = -1 if (x.s - 1) % 2 else 1
         out = out * (sign * alg.embed(BasisIndex(x.i, x.j, x.s - 1)))
     return out
+
+
+def loop_weight(word) -> int:
+    """Sum of (s - 1) over the letters of a word of TSymbols: the reference
+    for the loop-weight table of freealg.letter_positions."""
+    return sum(x.s - 1 for x in word)
+
+
+def position_words(lam, terms) -> dict:
+    """{word of labels: c} as {bytes of basis positions: c}, the words of
+    enveloping.product_sum; a label outside the basis of lam raises
+    centralizer.inadmissible_label."""
+    index_of = pbw_algebra(lam).index_of
+    out = {}
+    for word, c in terms.items():
+        labels = [BasisIndex(*x) for x in word]
+        for x in labels:
+            if x not in index_of:
+                raise inadmissible_label(lam, x)
+        out[bytes(index_of[x] for x in labels)] = c
+    return out
+
+
+def failed_graded_images(lams) -> list:
+    """The (lam, r), lam in lams and r in 1..N, on which
+    freealg.verify_graded_image fails."""
+    return [(lam, r) for lam in lams for r in range(1, lam.N + 1)
+            if not verify_graded_image(lam, r).ok]
 
 
 def binomial_z_expansion_by_pairs(lam, r: int) -> FreeElement:

@@ -19,10 +19,12 @@ from nilcent.centralizer import (
     verify_centralizer,
 )
 from nilcent.composition import Composition, monotone_compositions
-from nilcent.enveloping import pbw_algebra, product_sum
+from nilcent.enveloping import pbw_algebra
+from nilcent.freealg import FreeElement, TSymbol, verify_graded_image
 from nilcent.invariants import Polynomial
 from nilcent.slice import restrict
 
+from conftest import plant_z
 from oracles import (box_position, bracket, expand_in_basis, lie_closure_rank,
                      matrix_commutator)
 
@@ -90,7 +92,7 @@ class TestBasisElements:
         diag = basis_element(lam, BasisIndex(2, 2, 0))
         assert set(diag.terms) == {(2, 2), (3, 3)}
 
-    def test_inadmissible_raises(self):
+    def test_inadmissible_raises(self, monkeypatch):
         lam = Composition((1, 2))
         for bad in [(1, 2, 0), (2, 1, 1), (1, 1, 1), (0, 1, 0), (1, 3, 0)]:
             assert not is_admissible(lam, BasisIndex(*bad))
@@ -98,9 +100,11 @@ class TestBasisElements:
                 basis_element(lam, BasisIndex(*bad))
         # the one message, from every site that checks a label
         bad = BasisIndex(1, 2, 5)
+        # the letter T[1,2;6] of a Z_1 word stands for e[1,2;5]
+        plant_z(monkeypatch, lam, 1, FreeElement.letter(TSymbol(1, 2, 6)))
         for call in (lambda: unit_support(lam, bad),
                      lambda: pbw_algebra(lam).embed(bad),
-                     lambda: product_sum(lam, {(bad,): 1}),
+                     lambda: verify_graded_image(lam, 1),
                      lambda: restrict(lam, Polynomial.variable(bad))):
             with pytest.raises(ValueError) as info:
                 call()

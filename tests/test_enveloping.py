@@ -27,7 +27,7 @@ from nilcent.enveloping import (
     product_sum,
     verify_central,
 )
-from nilcent.freealg import loop_weight, z_polynomial
+from nilcent.freealg import z_polynomial
 from nilcent.invariants import Polynomial
 from nilcent.linalg import SparseElement
 
@@ -36,7 +36,9 @@ from oracles import (
     bracket,
     central_report_all_labels,
     failed_determinant_sums,
+    loop_weight,
     memo_products,
+    position_words,
     transposition_normal_form,
     transposition_product,
 )
@@ -200,34 +202,41 @@ class TestProductSum:
     @given(data=st.data())
     def test_matches_generator_products(self, lam, data):
         terms = data.draw(word_sums(lam))
-        assert product_sum(lam, terms) == generator_products(lam, terms)
+        assert (product_sum(lam, position_words(lam, terms))
+                == generator_products(lam, terms))
 
     def test_shared_prefixes_and_repeats(self):
         a, b, c = BasisIndex(2, 1, 0), BasisIndex(1, 2, 1), BasisIndex(1, 1, 0)
         terms = {(): 5, (a,): 1, (a, b): -2, (a, b, a): 3, (b, a): 1,
                  (a, a, c): 4, (c, b, b): -1}
-        assert product_sum(LAM12, terms) == generator_products(LAM12, terms)
+        assert (product_sum(LAM12, position_words(LAM12, terms))
+                == generator_products(LAM12, terms))
 
     def test_empty_and_zero(self):
         assert not product_sum(LAM12, {})
-        assert product_sum(LAM12, {(): 3}) == 3
-        assert not product_sum(LAM12, {(BasisIndex(1, 1, 0),): 0})
+        assert product_sum(LAM12, {b"": 3}) == 3
+        assert not product_sum(
+            LAM12, position_words(LAM12, {(BasisIndex(1, 1, 0),): 0}))
 
     def test_inadmissible_raises(self):
-        with pytest.raises(ValueError):
-            product_sum(LAM12, {(BasisIndex(1, 1, 0), BasisIndex(1, 2, 0)): 1})
+        """product_sum takes basis positions; a label word stops where it
+        is converted to them."""
+        with pytest.raises(ValueError, match=r"^inadmissible label \(1, 2, 0\) "
+                           "for lambda=1,2$"):
+            position_words(LAM12, {(BasisIndex(1, 1, 0), BasisIndex(1, 2, 0)): 1})
 
 
 def product_words(lam, r):
-    """Words for product_sum at weight r: the top-weight words of Z_r as
-    verify_graded_image labels them, or, on a decreasing lam, which has
-    no Z_r, the words of z_r read backwards."""
+    """Words for product_sum at weight r: the top-weight words of Z_r in
+    the positions verify_graded_image gives them, or, on a decreasing
+    lam, which has no Z_r, the words of z_r read backwards."""
     if lam.is_increasing:
         m = r - invariant_degrees(lam)[r - 1]
-        return {tuple(BasisIndex(x.i, x.j, x.s - 1) for x in w): c
-                for w, c in z_polynomial(lam)[r - 1].terms.items()
-                if loop_weight(w) == m}
-    return {w[::-1]: c for w, c in words(central_element(lam, r)).items()}
+        return position_words(lam, {
+            tuple(BasisIndex(x.i, x.j, x.s - 1) for x in w): c
+            for w, c in z_polynomial(lam)[r - 1].terms.items()
+            if loop_weight(w) == m})
+    return {w[::-1]: c for w, c in central_element(lam, r).terms.items()}
 
 
 class TestMemoPolicy:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from nilcent import composition, freealg
-from nilcent.centralizer import BasisIndex, is_admissible, minor_table
+from nilcent.centralizer import (BasisIndex, WordLimitError, is_admissible,
+                                 minor_table)
 from nilcent.composition import (
     Composition,
     monotone_compositions,
@@ -19,7 +20,7 @@ from nilcent.freealg import (
     UPolynomial,
     binomial_z_expansion,
     expansion_identity,
-    loop_weight,
+    letter_positions,
     t_entry_polynomial,
     t_symbol,
     verify_graded_image,
@@ -30,8 +31,10 @@ from nilcent.linalg import SparseElement, column_minor
 from conftest import embed, free_elements, plant_z
 from oracles import (
     column_determinant,
+    failed_graded_images,
     failed_symbol_expansions,
     left_minor_cdets,
+    loop_weight,
     memo_products,
     perm_sign,
     substitute_word,
@@ -603,11 +606,51 @@ class TestGradedImage:
         assert image == -central_element(LAM12, 3)
 
     def test_small_sweep(self):
-        for total in range(1, 5):
-            for lam in increasing(total):
-                for r in range(1, total + 1):
-                    rep = verify_graded_image(lam, r)
-                    assert rep.ok, rep.failures()
+        """The tier-1 twin of the CI step on N = 7 and 8: all 135 (lam, r)
+        with lam increasing and N <= 6."""
+        lams = [lam for total in range(1, 7) for lam in increasing(total)]
+        assert sum(lam.N for lam in lams) == 135
+        assert failed_graded_images(lams) == []
+
+    def test_table_weight_matches_loop_weight(self):
+        """The loop weight read off letter_positions' table equals the sum
+        of s - 1 over the letters, on every word of every Z_r of the 29
+        increasing lam with N <= 6."""
+        lams = [lam for total in range(1, 7) for lam in increasing(total)]
+        assert len(lams) == 29
+        for lam in lams:
+            position, weights = letter_positions(lam)
+            assert len(weights) == 256
+            for Zr in z_polynomial(lam):
+                for word in Zr.terms:
+                    letters = bytes(position[x] for x in word)
+                    assert sum(letters.translate(weights)) == loop_weight(word)
+
+    @pytest.mark.parametrize("extra", [T(1, 2, 6), T(1, 1, 1) * T(2, 1, 3)],
+                             ids=["alone", "after-an-admissible-letter"])
+    def test_letter_outside_the_window_raises(self, monkeypatch, extra):
+        """A letter T[i,j;s] whose e[i,j;s-1] is no basis label stops the
+        check with the package's one message, not a KeyError."""
+        plant_z(monkeypatch, LAM12, 3, extra)
+        bad = next(x for word in extra.terms for x in word
+                   if not is_admissible(LAM12, (x.i, x.j, x.s - 1)))
+        with pytest.raises(ValueError) as info:
+            verify_graded_image(LAM12, 3)
+        assert str(info.value) == (f"inadmissible label {(bad.i, bad.j, bad.s - 1)}"
+                                   " for lambda=1,2")
+
+    def test_more_basis_positions_than_bytes(self, monkeypatch):
+        """1^17 has dim g_e = 289: the check stops with WordLimitError
+        before it builds a word of positions."""
+        lam = Composition((1,) * 17)
+        monkeypatch.setattr(freealg, "z_polynomial",
+                            lambda _: (T(1, 1, 1),) * lam.N)
+        composition.state.cache_clear()
+        try:
+            with pytest.raises(WordLimitError, match="dim g_e = 289"):
+                verify_graded_image(lam, 1)
+        finally:
+            composition.state.cache_clear()
 
 
 class TestWitnesses:
