@@ -115,8 +115,8 @@ def invariant_degrees(lam: Composition) -> tuple[int, ...]:
     """Degree sequence (d_1, ..., d_N) of the N generating invariants.
 
     The value k occurs as often as the k-th largest part, in either
-    orientation; the result is weakly increasing and d_r equals
-    min_length(lam, r).
+    orientation; the result is weakly increasing, and d_r is the fewest
+    nonzero parts of a weight-r subcomposition, which enumerate_mu keeps.
     """
     out = []
     for k, c in enumerate(sorted(lam.parts, reverse=True), start=1):
@@ -134,19 +134,6 @@ def require_increasing(lam: Composition, what: str) -> None:
     """Raise ValueError unless the parts of lam weakly increase."""
     if not lam.is_increasing:
         raise ValueError(f"{what} needs weakly increasing parts, got {lam}")
-
-
-def min_length(lam: Composition, r: int) -> int:
-    """Fewest nonzero parts over subcompositions of lam with weight r.
-
-    Equals the smallest d whose d largest parts sum to at least r.
-    """
-    require_weight(lam, r)
-    total = 0
-    for d, p in enumerate(sorted(lam.parts, reverse=True), start=1):
-        total += p
-        if total >= r:
-            return d
 
 
 def weight_subcompositions(lam: Composition, r: int):
@@ -174,18 +161,20 @@ def _subcompositions(parts: tuple, weight: int, room: int):
 
 @per_composition
 def enumerate_mu(lam: Composition, r: int) -> tuple[tuple[int, ...], ...]:
-    """Weight-r subcompositions with the minimal number of nonzero parts.
-
-    Returned in ascending lexicographic order of the part tuples; never
-    empty for 1 <= r <= N.
-    """
-    d = min_length(lam, r)
-    out = tuple(mu for mu in weight_subcompositions(lam, r)
-                if len(mu) - mu.count(0) == d)
+    """The weight-r subcompositions with the fewest nonzero parts, d_r, in
+    ascending lexicographic order; never empty for 1 <= r <= N.  One walk
+    keeps the fewest-parts mu met so far."""
+    require_weight(lam, r)
+    out, zeros = [], -1
+    for mu in weight_subcompositions(lam, r):
+        z = mu.count(0)
+        if z > zeros:
+            out, zeros = [], z
+        if z == zeros:
+            out.append(mu)
     if not out:
-        raise RuntimeError(
-            f"no subcomposition of weight {r} and length {d} under {lam}")
-    return out
+        raise RuntimeError(f"no subcomposition of weight {r} under {lam}")
+    return tuple(out)
 
 
 def shift(lam: Composition, i: int, j: int) -> int:

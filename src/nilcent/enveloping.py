@@ -168,9 +168,14 @@ def product_sum(lam: Composition, words: dict) -> PbwElement:
     walked in sorted order so that words sharing a prefix are neighbours; a
     stack holds the normal form of every prefix of the current word, and
     each distinct prefix is multiplied out once, by inserting its last
-    letter into the terms of the prefix one shorter.
+    letter into the terms of the prefix one shorter.  A position at or
+    above dim g_e raises ValueError before the walk.
     """
     alg = pbw_algebra(lam)
+    top = max(b"".join(words), default=-1)
+    if top >= len(alg.basis):
+        raise ValueError(f"basis position {top} lies outside dim g_e = "
+                         f"{len(alg.basis)} for lambda={lam}")
     insert = alg._insert
     out: dict = {}
     stack = [{b"": 1}]  # stack[d] is the normal form of the first d letters

@@ -31,7 +31,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple
 
-from .centralizer import inadmissible_label, is_admissible, minor_table
+from .centralizer import LETTERS, inadmissible_label, is_admissible, minor_table
 from .composition import (
     Composition,
     invariant_degrees,
@@ -198,11 +198,12 @@ def expansion_identity(lam: Composition, r: int) -> Report:
 
 
 def letter_positions(lam: Composition) -> tuple[dict, bytes]:
-    """The position of e[i,j;s] for each letter T[i,j;s+1], and a 256-byte
-    table of each position's loop weight s; pbw_algebra first caps dim g_e."""
+    """The position of e[i,j;s] for each letter T[i,j;s+1], and a table of
+    each position's loop weight s, one byte per word of centralizer.LETTERS;
+    pbw_algebra first caps dim g_e."""
     basis = pbw_algebra(lam).basis
     return ({TSymbol(x.i, x.j, x.r + 1): t for t, x in enumerate(basis)},
-            bytes(x.r for x in basis).ljust(256, b"\0"))
+            bytes(x.r for x in basis).ljust(len(LETTERS), b"\0"))
 
 
 def verify_graded_image(lam: Composition, r: int) -> Report:

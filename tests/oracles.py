@@ -1,12 +1,15 @@
 """Reference implementations the tests compare the package against.
 
-None of this runs in a command: each function is an independent model of
-something the package computes another way, or a property the tests
-check on random instances.
+None of this runs in a nilcent command: each function is an independent
+model of something the package computes another way, or a property the
+tests check on random instances.  Run as a script, PYTHONPATH=src python
+tests/oracles.py runs the reference loops of REFERENCE_LOOPS at N = 7
+and 8, beyond the tier-1 tests, and exits 1 if any fails or miscounts.
 """
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -447,6 +450,43 @@ def failed_symbol_expansions(lams) -> list:
     return list(dict.fromkeys(failed))
 
 
+# Each reference loop at N = 7 and 8: what it checks, what one (lambda, r)
+# is counted as, the oracle, the totals N and whether only increasing
+# lambda take part, and the pinned number of (lambda, r).
+REFERENCE_LOOPS = (
+    ("verify_invariant at N = 8", "walks", failed_invariance_walks,
+     (8,), False, 320),
+    ("column_minor memo at N = 8", "(lambda, r)", failed_determinant_sums,
+     (8,), False, 320),
+    ("symbol expansion at N = 7 and 8", "(lambda, r)",
+     failed_symbol_expansions, (7, 8), True, 281),
+    ("graded image at N = 7 and 8", "(lambda, r)", failed_graded_images,
+     (7, 8), True, 281),
+)
+
+
+def reference_lambdas(totals, increasing: bool) -> list:
+    """The monotone lambda of the given totals, only the increasing ones
+    if increasing is true."""
+    return [lam for total in totals
+            for lam in composition.monotone_compositions(total)
+            if lam.is_increasing or not increasing]
+
+
+def run_reference_loops(loops=REFERENCE_LOOPS) -> int:
+    """Run every loop and print one line for each; 1 if any loop fails
+    on some (lambda, r) or counts other than its pinned number, else 0."""
+    bad = False
+    for what, unit, oracle, totals, increasing, pinned in loops:
+        lams = reference_lambdas(totals, increasing)
+        pairs = sum(lam.N for lam in lams)
+        failed = oracle(lams)
+        print(f"{what}: {pairs} {unit}, {len(failed)} failed", *failed,
+              flush=True)
+        bad = bad or pairs != pinned or bool(failed)
+    return int(bad)
+
+
 class DualIndex(NamedTuple):
     """Label f[i,j;r] of the dual basis vector of e[i,j;r]."""
 
@@ -597,3 +637,7 @@ def _random_single_letter_poly(rng, x) -> FreeElement:
 
 def _combination_coeff(rng, x) -> FreeElement:
     return FreeElement({(x,) * rng.randint(0, 1): rng.choice((-2, -1, 1, 2))})
+
+
+if __name__ == "__main__":
+    sys.exit(run_reference_loops())

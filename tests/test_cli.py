@@ -441,12 +441,48 @@ class TestSweep:
             ("invariance", 2, "premise failed: top_symbol")]
 
     def test_failed_slice_rows_name_a_witness(self, monkeypatch):
-        # the prediction for r = 2 doubles, from p[2,1] to 2*p[2,1]
+        # the prediction for r = 2 doubles, from p[2,1] to 2*p[2,1]; it
+        # still names p[2,1], so the weights still biject
         rows = self.failed_rows(monkeypatch, slice_module, "expected_restriction",
                                 Polynomial.variable(PVar(2, 1)))
         assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("slice_restriction", 2, "got p[2,1]")]
+
+    def test_wrong_invariant_fails_its_restriction_row_alone(self, monkeypatch):
+        """A doubled x_2 restricts to 2*p[2,1]: the slice_restriction row
+        of r = 2 fails, and slice_bijection, which reads only its own
+        check, passes."""
+        x2 = invariants.elementary_invariant(Composition((1, 2)), 2)
+        rows = self.failed_rows(monkeypatch, slice_module,
+                                "elementary_invariant", x2)
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("slice_restriction", 2, "got 2*p[2,1]")]
+
+    def test_failed_bijection_row_names_its_check(self, monkeypatch):
+        # the prediction for r = 2 becomes that of r = 1, so two weights
+        # name one coordinate
+        real = slice_module.expected_restriction
+        monkeypatch.setattr(slice_module, "expected_restriction",
+                            lambda lam, r: real(lam, 1 if r == 2 else r))
+        rows = [row for row in cli.sweep_composition(Composition((1, 2)))
+                if not row["ok"]]
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
             ("slice_restriction", 2, "got p[2,1]"),
-            ("slice_bijection", None, "restrict(x_2) = 2*p[2,1]: got p[2,1]")]
+            ("slice_bijection", None, "weights biject onto slice coordinates: "
+             "2 distinct coordinates out of 3")]
+
+    def test_failed_degree_ledger_row(self, monkeypatch):
+        """d_3 of 1,2 raised from 2 to 3 disagrees with the two nonzero
+        parts of enumerate_mu's mu = (1, 2); filtration_degree, which
+        reads the same degrees, fails with it."""
+        real = cli.invariant_degrees
+        monkeypatch.setattr(cli, "invariant_degrees",
+                            lambda lam: real(lam)[:-1] + (real(lam)[-1] + 1,))
+        rows = [row for row in cli.sweep_composition(Composition((1, 2)))
+                if not row["ok"]]
+        assert [(row["check"], row["r"], row["detail"]) for row in rows] == [
+            ("degree_ledger", None, "1 1 3"),
+            ("filtration_degree", 3, "expected 3")]
 
     def test_failed_sweep_text_lists_the_failed_rows(self, capsys, monkeypatch):
         # the prediction for r = 2 of 1,2 alone doubles, as above
@@ -460,7 +496,6 @@ class TestSweep:
         assert [line for line in out.splitlines() if "FAIL" in line] == [
             "lambda=1,2  N=3  checks=25  FAILED",
             "  FAIL slice_restriction r=2  got p[2,1]",
-            "  FAIL slice_bijection  restrict(x_2) = 2*p[2,1]: got p[2,1]",
             "SWEEP FAILED: 7 compositions, 137 checks"]
 
     def test_failed_jacobian_row_names_a_witness(self, monkeypatch):
@@ -619,8 +654,7 @@ class TestUsageErrors:
         finally:
             composition.state.cache_clear()
         assert rc == cli.EXIT_VERIFY and out == ""
-        assert err == ("error: no subcomposition of weight 1 and length 1 "
-                       "under 1,2\n")
+        assert err == "error: no subcomposition of weight 1 under 1,2\n"
 
     @pytest.mark.parametrize("argv", [["slice", "--lambda", "1,2"],
                                       ["sweep", "--max-N", "1"]])

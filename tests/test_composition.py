@@ -10,7 +10,6 @@ from nilcent.composition import (
     Composition,
     enumerate_mu,
     invariant_degrees,
-    min_length,
     monotone_compositions,
     require_increasing,
     shift,
@@ -25,6 +24,12 @@ def all_compositions(max_total, increasing_only=False):
         for lam in monotone_compositions(total):
             if lam.is_increasing or not increasing_only:
                 yield lam
+
+
+def fewest_parts(lam, r):
+    """Fewest nonzero parts over the weight-r subcompositions, by brute
+    force over weight_subcompositions."""
+    return min(len(mu) - mu.count(0) for mu in weight_subcompositions(lam, r))
 
 
 class TestComposition:
@@ -116,27 +121,35 @@ class TestInvariantDegrees:
             dim = len(basis_list(lam))
             assert 2 * sum(invariant_degrees(lam)) == dim + lam.N, lam
 
-    def test_matches_min_length_exhaustively(self):
-        for lam in all_compositions(8):
-            degrees = invariant_degrees(lam)
-            for r in range(1, lam.N + 1):
-                assert degrees[r - 1] == min_length(lam, r)
-
 
 class TestMinLength:
+    """The fewest nonzero parts of a weight-r subcomposition: d_r by the
+    closed formula, and the walk that enumerate_mu takes it from."""
+
     def test_examples(self):
-        assert min_length(Composition((2, 3, 4)), 5) == 2
-        assert min_length(Composition((2, 3, 4)), 9) == 3
-        assert min_length(Composition((1, 1)), 1) == 1
+        for parts, r, d in (((2, 3, 4), 5, 2), ((2, 3, 4), 9, 3),
+                            ((1, 1), 1, 1)):
+            lam = Composition(parts)
+            assert fewest_parts(lam, r) == invariant_degrees(lam)[r - 1] == d
 
     def test_brute_force_agreement(self):
-        for lam in all_compositions(6):
-            for r in range(1, lam.N + 1):
-                brute = min(
-                    len(mu) - mu.count(0)
-                    for mu in weight_subcompositions(lam, r)
-                )
-                assert min_length(lam, r) == brute
+        """invariant_degrees(lam)[r - 1] is the brute-force fewest nonzero
+        parts on every (lam, r) with N <= 12."""
+        lams = list(all_compositions(12))
+        assert len(lams) == 507
+        pairs = [(lam, r) for lam in lams for r in range(1, lam.N + 1)]
+        assert len(pairs) == 5028
+        for lam, r in pairs:
+            assert invariant_degrees(lam)[r - 1] == fewest_parts(lam, r), (
+                lam, r)
+
+    def test_out_of_range(self):
+        """enumerate_mu checks the weight before it walks."""
+        lam = Composition((1, 2))
+        for r in (0, 4):
+            with pytest.raises(ValueError,
+                               match=rf"^weight must lie in 1\.\.3, got {r}$"):
+                enumerate_mu(lam, r)
 
     def test_subcompositions_out_of_range(self):
         lam = Composition((1, 2))
@@ -158,12 +171,6 @@ class TestMinLength:
                          if sum(mu) == r]
                 assert list(weight_subcompositions(lam, r)) == brute
 
-    def test_out_of_range(self):
-        lam = Composition((1, 2))
-        for r in (0, 4):
-            with pytest.raises(ValueError):
-                min_length(lam, r)
-
 
 class TestEnumerateMu:
     def test_examples(self):
@@ -178,7 +185,7 @@ class TestEnumerateMu:
         r = data.draw(st.integers(1, lam.N))
         mus = enumerate_mu(lam, r)
         assert mus
-        d = min_length(lam, r)
+        d = fewest_parts(lam, r)
         assert list(mus) == sorted(mus)
         for mu in mus:
             assert type(mu) is tuple and len(mu) == lam.n

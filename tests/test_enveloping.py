@@ -225,6 +225,13 @@ class TestProductSum:
                            "for lambda=1,2$"):
             position_words(LAM12, {(BasisIndex(1, 1, 0), BasisIndex(1, 2, 0)): 1})
 
+    @pytest.mark.parametrize("word", [bytes([9, 0]), bytes([9])], ids=repr)
+    def test_position_outside_the_basis_raises(self, word):
+        """1,2 has dim g_e = 5; position 9 stops before the walk."""
+        with pytest.raises(ValueError, match=r"^basis position 9 lies outside "
+                           r"dim g_e = 5 for lambda=1,2$"):
+            product_sum(LAM12, {word: 1})
+
 
 def product_words(lam, r):
     """Words for product_sum at weight r: the top-weight words of Z_r in
