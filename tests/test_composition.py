@@ -121,6 +121,17 @@ class TestInvariantDegrees:
             dim = len(basis_list(lam))
             assert 2 * sum(invariant_degrees(lam)) == dim + lam.N, lam
 
+    def test_matches_min_length_exhaustively(self):
+        """invariant_degrees(lam)[r - 1] is the brute-force fewest nonzero
+        parts on every (lam, r) with N <= 12."""
+        lams = list(all_compositions(12))
+        assert len(lams) == 507
+        pairs = [(lam, r) for lam in lams for r in range(1, lam.N + 1)]
+        assert len(pairs) == 5028
+        for lam, r in pairs:
+            assert invariant_degrees(lam)[r - 1] == fewest_parts(lam, r), (
+                lam, r)
+
 
 class TestMinLength:
     """The fewest nonzero parts of a weight-r subcomposition: d_r by the
@@ -133,15 +144,14 @@ class TestMinLength:
             assert fewest_parts(lam, r) == invariant_degrees(lam)[r - 1] == d
 
     def test_brute_force_agreement(self):
-        """invariant_degrees(lam)[r - 1] is the brute-force fewest nonzero
-        parts on every (lam, r) with N <= 12."""
-        lams = list(all_compositions(12))
-        assert len(lams) == 507
-        pairs = [(lam, r) for lam in lams for r in range(1, lam.N + 1)]
-        assert len(pairs) == 5028
-        for lam, r in pairs:
-            assert invariant_degrees(lam)[r - 1] == fewest_parts(lam, r), (
-                lam, r)
+        """enumerate_mu keeps exactly the brute-force fewest-part
+        subcompositions, in order, on every (lam, r) with N <= 8."""
+        for lam in all_compositions(8):
+            for r in range(1, lam.N + 1):
+                d = fewest_parts(lam, r)
+                brute = tuple(mu for mu in weight_subcompositions(lam, r)
+                              if len(mu) - mu.count(0) == d)
+                assert enumerate_mu(lam, r) == brute, (lam, r)
 
     def test_out_of_range(self):
         """enumerate_mu checks the weight before it walks."""
